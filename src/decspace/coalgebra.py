@@ -153,43 +153,19 @@ def coeff_vector_via_fibre(F: GroupoidFunctor, grade_bound: int) -> SparseVec:
     return vec
 
 
-def _d1_buckets(X: TruncSimpGrpd):
-    X1, X2 = X.level(1), X.level(2)
-    d1 = X.face(2, 1)
-    buckets: dict = {}
-    for y in X2.objects:
-        buckets.setdefault(X1.canon_key(d1.obj(y)), []).append(y)
-    return buckets
-
-
 def comultiplication(X: TruncSimpGrpd, grade_bound: int) -> SparseMat:
     """Matrix of the comultiplication: column at [f] collects, per iso class
-    of the d_1-fibre over f, the pair of outer faces weighted by 1/|Aut|."""
+    of the d_1-fibre over f, the pair of outer faces weighted by 1/|Aut|.
+    This is delta_n at n = 2."""
     if X.N < 2:
         raise LevelOutOfRange("comultiplication needs two levels")
-    canon = _level1_canon(X)
-    d2, d0 = X.face(2, 2), X.face(2, 0)
-    buckets = _d1_buckets(X)
-    d1 = X.face(2, 1)
-    mat = SparseMat()
-    for f in basis(X, grade_bound):
-        fib = homotopy_fibre(d1, f.rep, candidates=buckets.get(f.key, ()))
-        for cls in iso_classes(fib):
-            y, _ = cls.rep
-            row = (canon(d2.obj(y)), canon(d0.obj(y)))
-            mat.add(row, f.key, Fraction(1, cls.aut_order))
-    return mat
+    return delta_n(X, 2, grade_bound)
 
 
 def counit(X: TruncSimpGrpd, grade_bound: int) -> SparseVec:
-    """Coefficient at [f] is the cardinality of the fibre of s_0 over f."""
-    s0 = X.degeneracy(0, 0)
-    vec = SparseVec()
-    for f in basis(X, grade_bound):
-        card = groupoid_cardinality(homotopy_fibre(s0, f.rep))
-        if card:
-            vec.add(f.key, card)
-    return vec
+    """Coefficient at [f] is the cardinality of the fibre of s_0 over f,
+    read off delta_n at n = 0."""
+    return SparseVec({col: v for (_, col), v in delta_n(X, 0, grade_bound).entries.items()})
 
 
 def delta_n(X: TruncSimpGrpd, n: int, grade_bound: int) -> SparseMat:

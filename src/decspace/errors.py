@@ -5,10 +5,6 @@ class DecspaceError(Exception):
     """Base class for all library errors."""
 
 
-class InvalidGroupoid(DecspaceError):
-    pass
-
-
 class TargetMismatch(DecspaceError):
     pass
 

@@ -210,9 +210,6 @@ class IsoClassTable:
     def index_of(self, obj) -> int:
         return self._index[obj]
 
-    def class_of(self, obj) -> IsoClass:
-        return self.classes[self._index[obj]]
-
     def cardinality(self) -> Fraction:
         return sum((Fraction(1, c.aut_order) for c in self.classes), Fraction(0))
 
@@ -346,25 +343,6 @@ def validate_groupoid(G: FiniteGroupoid) -> CheckReport:
     return report
 
 
-def validate_functor(F: GroupoidFunctor) -> str | None:
-    """None if F is a strict functor, else a description of the violation."""
-    A, B = F.source, F.target
-    for x in A.objects:
-        if not B.has_object(F.obj(x)):
-            return f"object image {F.obj(x)!r} not in target"
-        if F.arr(x, x, A.identity(x)) != B.identity(F.obj(x)):
-            return f"identity not preserved at {x!r}"
-    for (x, y, f) in A.arrows():
-        img = F.arr(x, y, f)
-        if img not in B.hom(F.obj(x), F.obj(y)):
-            return f"arrow image of {x!r}->{y!r} escapes hom-set"
-        for z in A.objects:
-            for g in A.hom(y, z):
-                if F.arr(x, z, A.compose(g, f)) != B.compose(F.arr(y, z, g), img):
-                    return f"composition not preserved at {x!r}->{y!r}->{z!r}"
-    return None
-
-
 def generating_arrows(G: FiniteGroupoid):
     """A generating family of arrows: per class, Aut(rep) and one arrow from
     the representative to each member.  Two functors that agree on objects and
@@ -400,11 +378,13 @@ def is_equivalence(F: GroupoidFunctor) -> tuple[bool, str | None]:
     """Essential surjectivity plus hom-set bijections.
 
     In a groupoid every nonempty hom-set is a torsor over the source
-    automorphism group, so hom-set bijectivity for all pairs is equivalent
-    to: |Aut| agrees on every class, no two source classes collapse in the
-    target, and isomorphic sources have isomorphic images (automatic for a
-    functor).  Returns (verdict, witness); the witness names a missed class
-    or a pair with a hom-set size mismatch.
+    automorphism group and F is equivariant on it, so hom-set bijectivity
+    for all pairs is equivalent to: no two source classes collapse in the
+    target, and on every class representative r the group map
+    Aut(r) -> Aut(F r) is a bijection, i.e. |Aut| agrees and the map is
+    injective.  Returns (verdict, witness); the witness names a missed
+    class, a pair with a hom-set size mismatch, or a non-injective
+    automorphism map.
     """
     A, B = F.source, F.target
     tableA = iso_classes(A)
@@ -434,6 +414,10 @@ def is_equivalence(F: GroupoidFunctor) -> tuple[bool, str | None]:
     for ib, cls in enumerate(tableB):
         if ib not in assigned:
             return False, f"object class of {cls.rep!r} not reached"
+    for cls in tableA:
+        r = cls.rep
+        if len({F.arr(r, r, d) for d in A.hom(r, r)}) != cls.aut_order:
+            return False, f"Aut({r!r}) -> Aut({F.obj(r)!r}) is not injective"
     return True, None
 
 
@@ -638,10 +622,6 @@ def homotopy_fibre(p: GroupoidFunctor, s, candidates=None) -> FiniteGroupoid:
     )
 
 
-def fibre_projection(F: FiniteGroupoid, X: FiniteGroupoid) -> GroupoidFunctor:
-    return GroupoidFunctor(F, X, lambda o: o[0], lambda o1, o2, d: d, name="fib-pr")
-
-
 # ---------------------------------------------------------------------------
 # pullback squares
 
@@ -701,14 +681,32 @@ def is_pullback_square(
     return _is_pullback_fibrewise(sq, glue_bound)
 
 
+def fibrewise_equivalence(
+    left: GroupoidFunctor, compare: Callable
+) -> tuple[bool, str | None]:
+    """Test a comparison functor out of every homotopy fibre of ``left``.
+
+    For one representative ``xbar`` per iso class of ``left.target``, builds
+    the fibre of ``left`` over ``xbar`` and asks ``compare(xbar, fib)`` for a
+    functor out of it; the verdict holds when every such functor is an
+    equivalence.  Returns the first failure as "fibre over xbar: witness".
+    """
+    A, X = left.source, left.target
+    buckets: dict = {}
+    for a in A.objects:
+        buckets.setdefault(X.bucket_key(left.obj(a)), []).append(a)
+    for cls in iso_classes(X):
+        xbar = cls.rep
+        fib = homotopy_fibre(left, xbar, candidates=buckets.get(X.bucket_key(xbar), ()))
+        ok, wit = is_equivalence(compare(xbar, fib))
+        if not ok:
+            return False, f"fibre over {xbar!r}: {wit}"
+    return True, None
+
+
 def _is_pullback_fibrewise(sq: GroupoidSquare, glue_bound: int | None) -> tuple[bool, str | None]:
-    A = sq.cone
     X = sq.left.target
     Y = sq.top.target
-
-    buckets_a: dict = {}
-    for a in A.objects:
-        buckets_a.setdefault(X.bucket_key(sq.left.obj(a)), []).append(a)
 
     # group Y-objects by where `right` sends them, keyed on the S bucket,
     # so each fibre enumeration only scans plausible candidates
@@ -717,29 +715,22 @@ def _is_pullback_fibrewise(sq: GroupoidSquare, glue_bound: int | None) -> tuple[
     for y in Y.objects:
         y_by_target.setdefault(S.bucket_key(sq.right.obj(y)), []).append(y)
 
-    for cls in iso_classes(X):
-        xbar = cls.rep
-        fib_a = homotopy_fibre(sq.left, xbar, candidates=buckets_a.get(X.bucket_key(xbar), ()))
+    def compare(xbar, fib_a):
         s_obj = sq.bottom.obj(xbar)
         pool = y_by_target.get(S.bucket_key(s_obj), ())
         if glue_bound is not None:
             allowance = glue_bound - X.grade(xbar) + S.grade(s_obj)
             pool = [y for y in pool if Y.grade(y) <= allowance]
         fib_y = homotopy_fibre(sq.right, s_obj, candidates=pool)
-        phi = GroupoidFunctor(
+        return GroupoidFunctor(
             fib_a,
             fib_y,
-            lambda o, xb=xbar: (
-                sq.top.obj(o[0]),
-                sq.bottom.arr(sq.left.obj(o[0]), xb, o[1]),
-            ),
+            lambda o: (sq.top.obj(o[0]), sq.bottom.arr(sq.left.obj(o[0]), xbar, o[1])),
             lambda o1, o2, d: sq.top.arr(o1[0], o2[0], d),
             name="fibre-comparison",
         )
-        ok, wit = is_equivalence(phi)
-        if not ok:
-            return False, f"fibre over {xbar!r}: {wit}"
-    return True, None
+
+    return fibrewise_equivalence(sq.left, compare)
 
 
 def _is_pullback_literal(sq: GroupoidSquare, glue_bound: int | None) -> tuple[bool, str | None]:
@@ -772,19 +763,6 @@ def _is_pullback_literal(sq: GroupoidSquare, glue_bound: int | None) -> tuple[bo
         name="pullback-comparison",
     )
     return is_equivalence(kappa)
-
-
-def is_pullback_cospan(
-    cone: FiniteGroupoid,
-    to_x: GroupoidFunctor,
-    to_y: GroupoidFunctor,
-    x_to_s: GroupoidFunctor,
-    y_to_s: GroupoidFunctor,
-    desc: str = "",
-    method: str = "fibrewise",
-) -> tuple[bool, str | None]:
-    sq = GroupoidSquare(top=to_y, left=to_x, right=y_to_s, bottom=x_to_s, desc=desc)
-    return is_pullback_square(sq, method=method)
 
 
 # ---------------------------------------------------------------------------

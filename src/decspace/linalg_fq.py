@@ -20,10 +20,6 @@ def check_field(q: int) -> None:
         raise UnsupportedField(f"q={q} not supported; expected one of {SUPPORTED_FIELDS}")
 
 
-def zeros(rows: int, cols: int):
-    return tuple((0,) * cols for _ in range(rows))
-
-
 def eye(n: int):
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
@@ -85,10 +81,6 @@ def rank(a, q: int) -> int:
 
 def is_injective(a, q: int) -> bool:
     return rank(a, q) == shape(a)[1]
-
-
-def is_surjective(a, q: int) -> bool:
-    return rank(a, q) == shape(a)[0]
 
 
 def is_invertible(a, q: int) -> bool:
@@ -202,13 +194,3 @@ def solve(a, b, q: int):
     for i, p in enumerate(pivots):
         x[p] = red[i][c]
     return tuple(x)
-
-
-def count_subspaces(n: int, k: int, q: int) -> int:
-    """Number of k-dimensional subspaces of F_q^n by exhaustive enumeration."""
-    if k == 0:
-        return 1
-    seen = set()
-    for a in injective_matrices(n, k, q):
-        seen.add(image_key(a, q))
-    return len(seen)

@@ -21,12 +21,12 @@ from .groupoids import (
     GroupoidFunctor,
     GroupoidSquare,
     compose_functors,
+    fibrewise_equivalence,
     functors_equal,
     homotopy_fibre,
     identity_functor,
     is_equivalence,
     is_pullback_square,
-    iso_classes,
     product_functor,
     product_list,
     terminal_groupoid,
@@ -115,17 +115,6 @@ class SimpMap:
 
 def identity_simp_map(X: TruncSimpGrpd) -> SimpMap:
     return SimpMap("id", X, X, tuple(identity_functor(L) for L in X.levels))
-
-
-def compose_simp_maps(G: SimpMap, F: SimpMap, name: str = "") -> SimpMap:
-    return SimpMap(
-        name or f"{G.name}.{F.name}",
-        F.source,
-        G.target,
-        tuple(
-            compose_functors(g, f) for g, f in zip(G.components, F.components)
-        ),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -270,17 +259,24 @@ def _square_desc(X: TruncSimpGrpd, dsq: DeltaSquare) -> str:
     )
 
 
+def _record_square(
+    report: CheckReport, desc: str, sq: GroupoidSquare, glue_bound: int | None = None
+) -> None:
+    """Record the pullback verdict of ``sq``; a square that does not commute
+    is recorded as a failure, not raised."""
+    try:
+        ok, wit = is_pullback_square(sq, glue_bound=glue_bound)
+    except NonCommutingSquare as exc:
+        ok, wit = False, f"square does not commute: {exc}"
+    report.record(desc, ok, wit)
+
+
 def _run_squares(
     X: TruncSimpGrpd, check: str, squares: list[DeltaSquare], glue_bound: int | None = None
 ) -> CheckReport:
     report = CheckReport(check, X.name, X.N, X.grade_bound)
     for dsq in squares:
-        desc = _square_desc(X, dsq)
-        try:
-            ok, wit = is_pullback_square(_instantiate(X, dsq), glue_bound=glue_bound)
-        except NonCommutingSquare as exc:
-            ok, wit = False, f"square does not commute: {exc}"
-        report.record(desc, ok, wit)
+        _record_square(report, _square_desc(X, dsq), _instantiate(X, dsq), glue_bound)
     return report
 
 
@@ -419,35 +415,26 @@ def check_decomposition_active(X: TruncSimpGrpd) -> CheckReport:
         windows = [evaluate(X, w) for w in data.windows]
         edges = [evaluate(X, e) for e in data.edges]
         splits = [evaluate(X, s) for s in data.splits]
-        Xn = X.level(n)
-        buckets: dict = {}
-        for a in X.level(m).objects:
-            buckets.setdefault(Xn.bucket_key(left.obj(a)), []).append(a)
-        verdict, witness = True, None
-        for cls in iso_classes(Xn):
-            xbar = cls.rep
-            fib_a = homotopy_fibre(left, xbar, candidates=buckets.get(Xn.bucket_key(xbar), ()))
+
+        def compare(xbar, fib_a):
             comp_fibs = [
                 homotopy_fibre(splits[i], edges[i].obj(xbar)) for i in range(n)
             ]
             fib_y = product_list(comp_fibs, name="prod-fibre")
 
-            def omap(o, xb=xbar):
+            def omap(o):
                 a, tau = o
                 la = left.obj(a)
                 return tuple(
-                    (windows[i].obj(a), edges[i].arr(la, xb, tau)) for i in range(n)
+                    (windows[i].obj(a), edges[i].arr(la, xbar, tau)) for i in range(n)
                 )
 
             def amap(o1, o2, d):
                 return tuple(windows[i].arr(o1[0], o2[0], d) for i in range(n))
 
-            phi = GroupoidFunctor(fib_a, fib_y, omap, amap, name="active-fibre-cmp")
-            ok, wit = is_equivalence(phi)
-            if not ok:
-                verdict, witness = False, f"fibre over {xbar!r}: {wit}"
-                break
-        report.record(desc, verdict, witness)
+            return GroupoidFunctor(fib_a, fib_y, omap, amap, name="active-fibre-cmp")
+
+        report.record(desc, *fibrewise_equivalence(left, compare))
     return report
 
 
@@ -466,11 +453,7 @@ def check_cartesian(F: SimpMap, maps: list[DeltaMap]) -> CheckReport:
             bottom=F.component(dm.dom),
             desc=desc,
         )
-        try:
-            ok, wit = is_pullback_square(sq)
-        except NonCommutingSquare as exc:
-            ok, wit = False, f"square does not commute: {exc}"
-        report.record(desc, ok, wit)
+        _record_square(report, desc, sq)
     return report
 
 
@@ -540,118 +523,46 @@ def check_fibration(F: SimpMap, side: str = "bottom") -> CheckReport:
     return report
 
 
+def _segal_power_map(F: SimpMap, WX: FiniteGroupoid, WY: FiniteGroupoid) -> GroupoidFunctor:
+    """segal_power(X, r) -> segal_power(Y, r) induced by F: F_1 on the edges,
+    F_0 on the connecting arrows."""
+    F1, F0 = F.component(1), F.component(0)
+    d0, d1 = F.source.face(1, 0), F.source.face(1, 1)
+
+    def omap(o):
+        es, sigmas = o
+        conns = zip(es, es[1:], sigmas)
+        return (
+            tuple(F1.obj(a) for a in es),
+            tuple(F0.arr(d0.obj(a), d1.obj(b), s) for a, b, s in conns),
+        )
+
+    def amap(o1, o2, ds):
+        return tuple(F1.arr(a, b, d) for a, b, d in zip(o1[0], o2[0], ds))
+
+    return GroupoidFunctor(WX, WY, omap, amap, name=f"segal-power[{F.name}]")
+
+
 def check_relatively_segal(F: SimpMap) -> CheckReport:
     """For 2 <= n <= N, the square comparing the Segal maps of source and
-    target is a pullback."""
+    target is a pullback:  X_n -> segal_power(X, n)  over
+    Y_n -> segal_power(Y, n), with F_n and the induced map as sides."""
     X, Y = F.source, F.target
     if X.N < 2:
         raise LevelOutOfRange("relative Segal check needs two levels")
     report = CheckReport(f"relatively-segal[{F.name}]", X.name, X.N, X.grade_bound)
-    X1, X0 = X.level(1), X.level(0)
-    Y1, Y0 = Y.level(1), Y.level(0)
-    dx0, dx1 = X.face(1, 0), X.face(1, 1)
-    dy0, dy1 = Y.face(1, 0), Y.face(1, 1)
-    F1, F0 = F.component(1), F.component(0)
-
     for n in range(2, X.N + 1):
-        edges_x = _edge_inclusions(X, n)
-        edges_y = _edge_inclusions(Y, n)
-        Fn = F.component(n)
+        WX = segal_power(X, n, grade_bound=X.grade_bound)
+        WY = segal_power(Y, n, grade_bound=Y.grade_bound)
         desc = f"X{n} -> Segal power over Y{n} (n={n})"
-        verdict, witness = True, None
-        for cls in iso_classes(Y.level(n)):
-            ybar = cls.rep
-            ys = [e.obj(ybar) for e in edges_y]
-            fib_a = homotopy_fibre(Fn, ybar)
-
-            # fibre of the induced map between iterated pullbacks over the
-            # comparison point of ybar (identity connecting arrows)
-            cands = [list(homotopy_fibre(F1, y).objects) for y in ys]
-            wobjects = []
-
-            def build(i, edges_acc, conns_acc, taus_acc):
-                if i == n:
-                    glue = sum(X1.grade(a) for a in edges_acc) - sum(
-                        X0.grade(dx0.obj(a)) for a in edges_acc[:-1]
-                    )
-                    if glue <= X.grade_bound:
-                        wobjects.append((tuple(edges_acc), tuple(conns_acc), tuple(taus_acc)))
-                    return
-                for (a, tau) in cands[i]:
-                    if i == 0:
-                        build(1, [a], [], [tau])
-                        continue
-                    prev_a, prev_tau = edges_acc[-1], taus_acc[-1]
-                    want = Y0.compose(
-                        Y0.inverse(dy1.arr(F1.obj(a), ys[i], tau)),
-                        dy0.arr(F1.obj(prev_a), ys[i - 1], prev_tau),
-                    )
-                    for c in X0.hom(dx0.obj(prev_a), dx1.obj(a)):
-                        if F0.arr(dx0.obj(prev_a), dx1.obj(a), c) == want:
-                            build(i + 1, edges_acc + [a], conns_acc + [c], taus_acc + [tau])
-
-            build(0, [], [], [])
-
-            def whom(o1, o2):
-                e1, c1, t1 = o1
-                e2, c2, t2 = o2
-                parts = [
-                    tuple(
-                        g
-                        for g in X1.hom(a, b)
-                        if Y1.compose(t2[i], F1.arr(a, b, g)) == t1[i]
-                    )
-                    for i, (a, b) in enumerate(zip(e1, e2))
-                ]
-                if any(not p for p in parts):
-                    return ()
-                out = []
-
-                def rec(prefix):
-                    i = len(prefix)
-                    if i == n:
-                        out.append(tuple(prefix))
-                        return
-                    for g in parts[i]:
-                        if i > 0:
-                            lhs = X0.compose(c2[i - 1], dx0.arr(e1[i - 1], e2[i - 1], prefix[-1]))
-                            rhs = X0.compose(dx1.arr(e1[i], e2[i], g), c1[i - 1])
-                            if lhs != rhs:
-                                continue
-                        rec(prefix + [g])
-
-                rec([])
-                return tuple(out)
-
-            fib_w = FiniteGroupoid(
-                "rel-segal-fibre",
-                wobjects,
-                whom,
-                lambda g, f: tuple(X1.compose(a, b) for a, b in zip(g, f)),
-                lambda d: tuple(X1.inverse(a) for a in d),
-                lambda o: tuple(X1.identity(a) for a in o[0]),
-                bucket_key=lambda o: tuple(X1.bucket_key(a) for a in o[0]),
-            )
-
-            def omap(o, yb=ybar):
-                x, tau = o
-                es = tuple(e.obj(x) for e in edges_x)
-                conns = tuple(X0.identity(dx0.obj(es[i])) for i in range(n - 1))
-                taus = tuple(
-                    edges_y[i].arr(Fn.obj(x), yb, tau) for i in range(n)
-                )
-                return (es, conns, taus)
-
-            def amap(o1, o2, d):
-                return tuple(edges_x[i].arr(o1[0], o2[0], d) for i in range(n))
-
-            ok, wit = is_equivalence(
-                GroupoidFunctor(fib_a, fib_w, omap, amap, name="rel-segal-cmp")
-            )
-            if not ok:
-                verdict, witness = False, f"fibre over {ybar!r}: {wit}"
-                break
-        report.record(desc, verdict, witness)
+        sq = GroupoidSquare(
+            top=segal_comparison(X, n, WX),
+            left=F.component(n),
+            right=_segal_power_map(F, WX, WY),
+            bottom=segal_comparison(Y, n, WY),
+            desc=desc,
+        )
+        _record_square(report, desc, sq)
     return report
 
 
@@ -736,21 +647,14 @@ def check_decalage(X: TruncSimpGrpd) -> CheckReport:
     report = CheckReport("decalage-characterization", X.name, X.N, X.grade_bound)
 
     verdict_a = check_decomposition(X).passed
-
-    def safe(thunk):
-        try:
-            return thunk().passed
-        except NonCommutingSquare:
-            return False
-
     dec_b, map_b = dec(X, "bottom")
     dec_t, map_t = dec(X, "top")
-    segal_both = safe(lambda: check_segal(dec_b)) and safe(lambda: check_segal(dec_t))
-    verdict_b = segal_both and safe(lambda: check_culf(map_b)) and safe(lambda: check_culf(map_t))
+    segal_both = check_segal(dec_b).passed and check_segal(dec_t).passed
+    verdict_b = segal_both and check_culf(map_b).passed and check_culf(map_t).passed
     verdict_c = (
         segal_both
-        and safe(lambda: check_conservative(map_b))
-        and safe(lambda: check_conservative(map_t))
+        and check_conservative(map_b).passed
+        and check_conservative(map_t).passed
     )
     degeneracy_squares = delta.decomposition_axiom_squares(2)
     verdict_d = segal_both and _run_squares(X, "degeneracy-squares", degeneracy_squares).passed
@@ -782,11 +686,7 @@ def check_extra_pullbacks(X: TruncSimpGrpd) -> CheckReport:
 
     def run(desc, top, left, right, bottom):
         sq = GroupoidSquare(top=top, left=left, right=right, bottom=bottom, desc=desc)
-        try:
-            ok, wit = is_pullback_square(sq)
-        except NonCommutingSquare as exc:
-            ok, wit = False, str(exc)
-        report.record(desc, ok, wit)
+        _record_square(report, desc, sq)
 
     for n in range(X.N - 1):
         # s_i against d_j, first index regime i < j
@@ -878,65 +778,24 @@ def constant_map_to_point(X: TruncSimpGrpd) -> SimpMap:
     return SimpMap(f"const[{X.name}]", X, T, comps)
 
 
-def _swap_functor(L: FiniteGroupoid, x, y, iso) -> GroupoidFunctor:
-    """Auto-functor of L exchanging the isomorphic objects x and y along iso."""
-    inv = L.inverse(iso)
-
-    def omap(z):
-        if z == x:
-            return y
-        if z == y:
-            return x
-        return z
-
-    def w(z):
-        if z == x:
-            return iso
-        if z == y:
-            return inv
-        return L.identity(z)
-
-    def amap(a, b, d):
-        return L.compose(w(b), L.compose(d, L.inverse(w(a))))
-
-    return GroupoidFunctor(L, L, omap, amap, name="swap")
-
-
-def corrupted_variant(X: TruncSimpGrpd, seed: int, kind: str = "inner-face") -> tuple[TruncSimpGrpd, str]:
+def corrupted_variant(X: TruncSimpGrpd, seed: int) -> tuple[TruncSimpGrpd, str]:
     """Deterministically perturbed copy of X for negative controls.
 
-    The default corrupts an inner face functor by a constant replacement:
-    inner faces feed every checker family (the pushout squares directly, the
-    decalage characterizations through the Segal squares of the two
-    decalages), which is what makes perturbed instances usable as agreement
-    controls.  ``kind='swap'`` instead postcomposes a face with a swap of two
-    isomorphic objects, which breaks strictness without changing any
-    homotopy-invariant quantity.
+    An inner face functor is replaced by a constant functor: inner faces feed
+    every checker family (the pushout squares directly, the decalage
+    characterizations through the Segal squares of the two decalages), which
+    is what makes perturbed instances usable as agreement controls.
     """
     rng = random.Random(seed)
     new_faces = dict(X.faces)
-    if kind == "swap":
-        n = rng.randrange(1, X.N + 1)
-        i = rng.randrange(0, n + 1)
-        target = X.level(n - 1)
-        for cls in iso_classes(target):
-            if len(cls.members) >= 2:
-                x, y = cls.members[0], cls.members[1]
-                swap = _swap_functor(target, x, y, target.some_iso(x, y))
-                new_faces[(n, i)] = compose_functors(swap, X.face(n, i), name=f"swap.d_{i}")
-                desc = f"face d_{i} at level {n} postcomposed with a swap"
-                break
-        else:
-            raise ValueError("no isomorphic object pair available for a swap")
-    else:
-        inner = [(n, i) for n in range(2, X.N + 1) for i in range(1, n)]
-        n, i = inner[rng.randrange(len(inner))]
-        target = X.level(n - 1)
-        c = max(target.objects, key=lambda o: (target.grade(o), repr(o)))
-        new_faces[(n, i)] = GroupoidFunctor(
-            X.level(n), target, lambda x: c, lambda a, b, d: target.identity(c), name="const"
-        )
-        desc = f"inner face d_{i} at level {n} replaced by a constant functor"
+    inner = [(n, i) for n in range(2, X.N + 1) for i in range(1, n)]
+    n, i = inner[rng.randrange(len(inner))]
+    target = X.level(n - 1)
+    c = max(target.objects, key=lambda o: (target.grade(o), repr(o)))
+    new_faces[(n, i)] = GroupoidFunctor(
+        X.level(n), target, lambda x: c, lambda a, b, d: target.identity(c), name="const"
+    )
+    desc = f"inner face d_{i} at level {n} replaced by a constant functor"
     return (
         TruncSimpGrpd(
             f"{X.name}~corrupt{seed}",

@@ -1,9 +1,10 @@
-"""Independent brute-force oracles for the coalgebra tables.
+"""Independent brute-force oracles for the coalgebra tables and for
+equivalence testing.
 
 Each oracle enumerates the combinatorics directly on one concrete
 representative (cuts of a forest, ordered vertex bipartitions of a graph,
-subspaces of F_q^n) and never touches the simplicial machinery it is used to
-check.
+subspaces of F_q^n, every hom-set of a functor) and never touches the
+simplicial machinery or the class bookkeeping it is used to check.
 """
 
 from collections import Counter
@@ -78,3 +79,22 @@ def binomial_coefficient(n, a):
         out *= Fraction(n - i, i + 1)
     assert out.denominator == 1
     return int(out)
+
+
+def equivalence_oracle(F):
+    """Whether the functor F is an equivalence, by definition: every object
+    of the target is isomorphic to an image, and F maps every hom-set
+    A(x, y) bijectively onto B(Fx, Fy)."""
+    A, B = F.source, F.target
+    images = [F.obj(x) for x in A.objects]
+    for b in B.objects:
+        if not any(B.hom(b, i) for i in images):
+            return False
+    for x in A.objects:
+        for y in A.objects:
+            src = A.hom(x, y)
+            tgt = set(B.hom(F.obj(x), F.obj(y)))
+            img = {F.arr(x, y, d) for d in src}
+            if len(img) != len(src) or img != tgt:
+                return False
+    return True

@@ -1,6 +1,11 @@
 import json
+from pathlib import Path
+
+import pytest
 
 from decspace.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run(capsys, *argv):
@@ -36,6 +41,25 @@ def test_check_json_deterministic(capsys):
     code2, out2 = run(capsys, "check", "binomial", "decomposition", "--max", "3", "--format", "json")
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+@pytest.mark.parametrize(
+    "golden, argv",
+    [
+        ("check_binomial_all_max3.json", "check binomial all --max 3 --format json"),
+        ("check_forests_all_nodes2.json", "check forests all --nodes 2 --format json"),
+        (
+            "check_graphs_all_vertices2_corrupt1.json",
+            "check graphs all --vertices 2 --corrupt-seed 1 --format json",
+        ),
+        ("coproduct_forests_nodes3.csv", "coproduct forests --nodes 3 --format csv"),
+    ],
+)
+def test_output_matches_golden(capsys, golden, argv):
+    # the golden files are recorded outputs of the same commands; any change
+    # to a verdict, a witness or a table entry shows up as a byte difference
+    _, out = run(capsys, *argv.split())
+    assert out == (GOLDEN / golden).read_text()
 
 
 def test_coproduct_binomial_table(capsys):

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from decspace.errors import NonCommutingSquare, ObjectNotFound, TargetMismatch
 from decspace.groupoids import (
@@ -23,6 +24,8 @@ from decspace.groupoids import (
     terminal_groupoid,
     validate_groupoid,
 )
+
+from oracles import equivalence_oracle
 
 
 def z2():
@@ -220,6 +223,53 @@ def test_is_equivalence_z2_to_point_fails():
     assert "hom-set sizes differ" in wit
 
 
+def cyclic_action(name, n, moduli):
+    """Action groupoid of Z_n on a disjoint union of orbits Z_n / d Z_n, one
+    per modulus d (each d divides n): objects (orbit, residue), arrows the
+    group elements g with residue + g = residue' mod d."""
+    return FiniteGroupoid(
+        name,
+        tuple((i, r) for i, d in enumerate(moduli) for r in range(d)),
+        lambda x, y: tuple(
+            g for g in range(n) if x[0] == y[0] and (x[1] + g - y[1]) % moduli[x[0]] == 0
+        ),
+        lambda g, f: (g + f) % n,
+        lambda g: (-g) % n,
+        lambda x: 0,
+    )
+
+
+@st.composite
+def cyclic_action_functors(draw):
+    """A functor between cyclic action groupoids: the group map g -> k g
+    from Z_a to Z_b, and an equivariant map sending orbit i (modulus d) to
+    orbit j (modulus e, which must divide k d) at offset s0."""
+    a, b = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    k = draw(st.sampled_from([k for k in range(b) if (k * a) % b == 0]))
+    divisors = lambda n: [d for d in range(1, n + 1) if n % d == 0]
+    src = draw(st.lists(st.sampled_from(divisors(a)), min_size=1, max_size=3))
+    tgt = draw(st.lists(st.sampled_from(divisors(b)), min_size=1, max_size=3))
+    orbit_map = []
+    for d in src:
+        js = [j for j, e in enumerate(tgt) if (k * d) % e == 0]
+        assume(js)
+        j = draw(st.sampled_from(js))
+        orbit_map.append((j, draw(st.integers(0, tgt[j] - 1))))
+    A, B = cyclic_action("A", a, src), cyclic_action("B", b, tgt)
+
+    def omap(x):
+        j, s0 = orbit_map[x[0]]
+        return (j, (s0 + k * x[1]) % tgt[j])
+
+    return GroupoidFunctor(A, B, omap, lambda x, y, g: (k * g) % b, name=f"x{k}")
+
+
+@given(cyclic_action_functors())
+@settings(max_examples=200, deadline=None)
+def test_is_equivalence_matches_hom_set_oracle(F):
+    assert is_equivalence(F)[0] == equivalence_oracle(F)
+
+
 def _square(top, left, right, bottom, desc=""):
     return GroupoidSquare(top=top, left=left, right=right, bottom=bottom, desc=desc)
 
@@ -256,15 +306,29 @@ def test_forest_segal_square_fails(forests3):
     assert not ok
 
 
-def test_fibrewise_agrees_with_literal(binomial3, forests3, chain_nerve):
+def test_bz2_collapse_square_is_not_a_pullback():
+    G, pt = z2(), terminal_groupoid()
+    bang = GroupoidFunctor(G, pt, lambda x: "*", lambda x, y, d: (), name="!")
+    collapse = GroupoidFunctor(G, G, lambda x: x, lambda x, y, d: 0, name="collapse")
+    sq = _square(collapse, bang, bang, identity_functor(pt))
+    for method in ("fibrewise", "literal"):
+        ok, wit = is_pullback_square(sq, method=method)
+        assert not ok
+        assert "is not injective" in wit
+
+
+def test_fibrewise_agrees_with_literal(binomial3, forests3, graphs3, vect22, chain_nerve):
     squares = []
-    for X in (binomial3, chain_nerve):
+    for X in (binomial3, chain_nerve, graphs3, vect22):
         squares.append(
             _square(X.face(2, 0), X.face(2, 2), X.face(1, 1), X.face(1, 0))
         )
         squares.append(
             _square(X.degeneracy(1, 1), X.face(1, 0), X.face(2, 0), X.degeneracy(0, 0))
         )
+    for X in (graphs3, vect22):
+        # a decomposition square: inner face d_1 against the bottom face d_0
+        squares.append(_square(X.face(3, 0), X.face(3, 2), X.face(2, 1), X.face(2, 0)))
     H = forests3
     squares.append(_square(H.face(2, 0), H.face(2, 2), H.face(1, 1), H.face(1, 0)))
     for sq in squares:

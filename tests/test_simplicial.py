@@ -7,8 +7,10 @@ from decspace.errors import LevelOutOfRange
 from decspace.gallery import (
     binomial_B,
     forests_H,
+    graphs_G,
     injections_I,
     oi_to_i,
+    vect_S,
 )
 from decspace.groupoids import GroupoidFunctor, is_equivalence
 from decspace.simplicial import (
@@ -227,6 +229,17 @@ def test_relatively_segal():
     H = forests_H(2, 2)
     assert check_relatively_segal(identity_simp_map(H)).passed
     assert not check_relatively_segal(constant_map_to_point(H)).passed
+
+
+def test_relatively_segal_over_point_is_segal(binomial3, injections3, forests3, chain_nerve):
+    # X -> 1 is relatively Segal exactly when X is Segal; check_segal decides
+    # the Segal squares without segal_power, so the two routes share only
+    # the pullback engine
+    spaces = (binomial3, injections3[0], forests3, graphs_G(2, 3), chain_nerve, vect_S(2, 2, 2))
+    verdicts = [check_segal(X).passed for X in spaces]
+    assert verdicts == [True, True, False, False, True, False]
+    for X, segal in zip(spaces, verdicts):
+        assert check_relatively_segal(constant_map_to_point(X)).passed == segal
 
 
 def test_dec_validates_and_level_error(binomial3):
