@@ -165,24 +165,6 @@ def compose_functors(G2: GroupoidFunctor, G1: GroupoidFunctor, name: str = "") -
     )
 
 
-class _UnionFind:
-    def __init__(self, items):
-        self.parent = {x: x for x in items}
-
-    def find(self, x):
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, x, y):
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            self.parent[ry] = rx
-
-
 @dataclass(frozen=True)
 class IsoClass:
     rep: object
@@ -233,20 +215,20 @@ def iso_classes(G: FiniteGroupoid) -> IsoClassTable:
             rep = members[0]
             classes.append(IsoClass(rep, tuple(members), G.hom_size(rep, rep), key))
     else:
+        # isomorphism is an equivalence relation, so one arrow search against
+        # the first member of each class already found in the bucket decides
+        # membership: at most (bucket size) x (classes in bucket) searches
         buckets: dict = {}
         for x in G.objects:
-            buckets.setdefault(G.bucket_key(x), []).append(x)
-        uf = _UnionFind(G.objects)
-        for members in buckets.values():
-            for i, x in enumerate(members):
-                for y in members[i + 1 :]:
-                    if uf.find(x) != uf.find(y) and G.some_iso(x, y) is not None:
-                        uf.union(x, y)
-        groups = {}
-        for x in G.objects:
-            groups.setdefault(uf.find(x), []).append(x)
+            found = buckets.setdefault(G.bucket_key(x), [])
+            for members in found:
+                if G.some_iso(members[0], x) is not None:
+                    members.append(x)
+                    break
+            else:
+                found.append([x])
         classes = []
-        for members in groups.values():
+        for members in (m for found in buckets.values() for m in found):
             members.sort(key=_ordkey)
             rep = members[0]
             classes.append(IsoClass(rep, tuple(members), G.hom_size(rep, rep), rep))
@@ -452,15 +434,27 @@ def product_list(factors: list[FiniteGroupoid], grade_bound: int | None = None, 
     is given only tuples within the bound are enumerated.
     """
     factors = list(factors)
+    graded = [[(x, f.grade(x)) for x in f.objects] for f in factors]
+    # per factor, the (object, grade) pairs that fit in the room left by a
+    # prefix, in object order; each grade is read once, not once per prefix
+    fitting = [{} for _ in factors]
+
+    def fits(idx, room):
+        if room is None:
+            return graded[idx]
+        try:
+            return fitting[idx][room]
+        except KeyError:
+            kept = [xg for xg in graded[idx] if xg[1] <= room]
+            fitting[idx][room] = kept
+            return kept
 
     def gen(prefix, glev, idx):
         if idx == len(factors):
             yield prefix
             return
-        for x in factors[idx].objects:
-            g = factors[idx].grade(x)
-            if grade_bound is not None and glev + g > grade_bound:
-                continue
+        room = None if grade_bound is None else grade_bound - glev
+        for x, g in fits(idx, room):
             yield from gen(prefix + (x,), glev + g, idx + 1)
 
     objects = list(gen((), 0, 0))
