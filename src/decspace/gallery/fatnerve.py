@@ -9,8 +9,39 @@ skeleta instead.
 from __future__ import annotations
 
 from ..errors import InvalidCategory
-from ..groupoids import FiniteGroupoid, GroupoidFunctor
-from ..simplicial import TruncSimpGrpd
+from ..groupoids import FiniteGroupoid
+from ..simplicial import TruncSimpGrpd, simplicial_space
+
+
+def string_nerve_rules(compose, identity):
+    """Face and degeneracy rules of a nerve whose level-n objects are strings
+    (nodes, arrows) of n composable arrows, with ladders (one arrow per node)
+    as morphisms.
+
+    d_0 and d_n drop an end; an inner d_i replaces arrows i-1 and i by
+    ``compose(x, i)``, their composite in the string x; s_i inserts
+    ``identity(node)`` after node i.  Ladders drop or duplicate entry i.
+    """
+
+    def face(n, i):
+        if i == 0:
+            omap = lambda x: (x[0][1:], x[1][1:])
+        elif i == n:
+            omap = lambda x: (x[0][:-1], x[1][:-1])
+        else:
+            omap = lambda x: (
+                x[0][:i] + x[0][i + 1 :],
+                x[1][: i - 1] + (compose(x, i),) + x[1][i + 1 :],
+            )
+        return omap, lambda x, y, d: d[:i] + d[i + 1 :]
+
+    def degen(n, i):
+        return (
+            lambda x: (x[0][: i + 1] + x[0][i:], x[1][:i] + (identity(x[0][i]),) + x[1][i:]),
+            lambda x, y, d: d[: i + 1] + d[i:],
+        )
+
+    return face, degen
 
 
 class FinCat:
@@ -170,36 +201,11 @@ def fat_nerve(cat: FinCat, N: int) -> TruncSimpGrpd:
             )
         )
 
-    def face_omap(n, i, s):
-        objs, arrows = s
-        if i == 0:
-            return (objs[1:], arrows[1:])
-        if i == n:
-            return (objs[:-1], arrows[:-1])
-        merged = cat.compose[(arrows[i], arrows[i - 1])]
-        return (objs[:i] + objs[i + 1 :], arrows[: i - 1] + (merged,) + arrows[i + 1 :])
-
-    faces = {}
-    degens = {}
-    for n in range(1, N + 1):
-        for i in range(n + 1):
-            faces[(n, i)] = GroupoidFunctor(
-                levels[n],
-                levels[n - 1],
-                lambda s, n=n, i=i: face_omap(n, i, s),
-                lambda x, y, d, i=i: d[:i] + d[i + 1 :],
-                name=f"d_{i}",
-            )
-    for n in range(N):
-        for i in range(n + 1):
-            degens[(n, i)] = GroupoidFunctor(
-                levels[n],
-                levels[n + 1],
-                lambda s, i=i: (
-                    s[0][: i + 1] + s[0][i:],
-                    s[1][:i] + (cat.identities[s[0][i]],) + s[1][i:],
-                ),
-                lambda x, y, d, i=i: d[: i + 1] + d[i:],
-                name=f"s_{i}",
-            )
-    return TruncSimpGrpd(f"fatnerve({cat.name})", N, tuple(levels), faces, degens, 0)
+    return simplicial_space(
+        f"fatnerve({cat.name})",
+        levels,
+        *string_nerve_rules(
+            lambda s, i: cat.compose[(s[1][i], s[1][i - 1])], cat.identities.__getitem__
+        ),
+        0,
+    )

@@ -17,9 +17,9 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import permutations, product as iproduct
 
-from ..groupoids import FiniteGroupoid, GroupoidFunctor
-from ..simplicial import SimpMap, TruncSimpGrpd, product_simplicial
-from .sets import _perm_compose, _perm_inverse, _restrict_perm
+from ..groupoids import FiniteGroupoid
+from ..simplicial import TruncSimpGrpd, simplicial_space
+from .sets import _perm_compose, _perm_inverse, layered_rules, union_amap
 
 
 @lru_cache(maxsize=None)
@@ -106,101 +106,37 @@ def _h_level(k: int, bound: int) -> FiniteGroupoid:
     )
 
 
-def _delete_layer(obj, layer_value: int, shift: bool):
-    m, parents, lay = obj
-    keep = [e for e in range(m) if lay[e] != layer_value]
+def _h_induced(obj, keep):
+    """The parent tuple on the surviving labels; orphaned nodes become roots."""
+    parents = obj[1]
     pos = {e: p for p, e in enumerate(keep)}
-    new_parents = tuple(
-        -1 if parents[e] == -1 or parents[e] not in pos else pos[parents[e]]
-        for e in keep
+    return (
+        tuple(
+            -1 if parents[e] == -1 or parents[e] not in pos else pos[parents[e]]
+            for e in keep
+        ),
     )
-    new_lay = tuple(lay[e] - (1 if shift else 0) for e in keep)
-    return (len(keep), new_parents, new_lay)
 
 
-def _h_face_omap(k, i, obj):
-    m, parents, lay = obj
-    if i == 0:
-        # delete the leafmost layer; survivors are closed under parents
-        return _delete_layer(obj, k, shift=False)
-    if i == k:
-        # delete the root layer; orphaned nodes become roots
-        return _delete_layer(obj, 1, shift=True)
-    t = k - i
-    return (m, parents, tuple(l if l <= t else l - 1 for l in lay))
-
-
-def _h_face_amap(k, i, x, y, pi):
-    if 0 < i < k:
-        return pi
-    drop = k if i == 0 else 1
-    keep_x = [e for e in range(x[0]) if x[2][e] != drop]
-    keep_y = [e for e in range(y[0]) if y[2][e] != drop]
-    return _restrict_perm(pi, keep_x, keep_y)
-
-
-def _h_degen_omap(k, i, obj):
-    m, parents, lay = obj
-    t = k - i
-    return (m, parents, tuple(l if l <= t else l + 1 for l in lay))
+def _h_union(pair):
+    (m1, p1, l1), (m2, p2, l2) = pair
+    parents = p1 + tuple(-1 if p == -1 else m1 + p for p in p2)
+    return (m1 + m2, parents, l1 + l2)
 
 
 def forests_H(max_nodes: int, N: int) -> TruncSimpGrpd:
     """Forests with admissible cuts, graded by node count; ships the
-    disjoint-union monoidal map."""
-    levels = tuple(_h_level(k, max_nodes) for k in range(N + 1))
-    faces = {}
-    degens = {}
-    for n in range(1, N + 1):
-        for i in range(n + 1):
-            faces[(n, i)] = GroupoidFunctor(
-                levels[n],
-                levels[n - 1],
-                lambda obj, n=n, i=i: _h_face_omap(n, i, obj),
-                lambda x, y, d, n=n, i=i: _h_face_amap(n, i, x, y, d),
-                name=f"d_{i}",
-            )
-    for n in range(N):
-        for i in range(n + 1):
-            degens[(n, i)] = GroupoidFunctor(
-                levels[n],
-                levels[n + 1],
-                lambda obj, n=n, i=i: _h_degen_omap(n, i, obj),
-                lambda x, y, d: d,
-                name=f"s_{i}",
-            )
-    X = TruncSimpGrpd(
+    disjoint-union monoidal rule."""
+    X = simplicial_space(
         "forests",
-        N,
-        levels,
-        faces,
-        degens,
+        (_h_level(k, max_nodes) for k in range(N + 1)),
+        *layered_rules(_h_induced, mirrored=True),
         max_nodes,
         key_renderer=render_forest_key,
     )
-    X.monoidal = _h_monoidal(X)
+    X.mu = (_h_union, union_amap)
     X.unit_key = ()
     return X
-
-
-def _h_monoidal(X: TruncSimpGrpd) -> SimpMap:
-    P = product_simplicial(X, X, grade_bound=X.grade_bound)
-
-    def omap(pair):
-        (m1, p1, l1), (m2, p2, l2) = pair
-        parents = p1 + tuple(-1 if p == -1 else m1 + p for p in p2)
-        return (m1 + m2, parents, l1 + l2)
-
-    def amap(xs, ys, ds):
-        pi1, pi2 = ds
-        m1 = xs[0][0]
-        return pi1 + tuple(m1 + v for v in pi2)
-
-    comps = tuple(
-        GroupoidFunctor(P.level(n), X.level(n), omap, amap, name="mu")
-        for n in range(X.N + 1)
-    )
-    return SimpMap("mu[forests]", P, X, comps)
 
 
 def _render_tree(t) -> str:

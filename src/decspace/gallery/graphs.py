@@ -14,9 +14,9 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations, permutations, product as iproduct
 
-from ..groupoids import FiniteGroupoid, GroupoidFunctor
-from ..simplicial import SimpMap, TruncSimpGrpd, product_simplicial
-from .sets import _perm_compose, _perm_inverse, _restrict_perm
+from ..groupoids import FiniteGroupoid
+from ..simplicial import TruncSimpGrpd, simplicial_space
+from .sets import _perm_compose, _perm_inverse, layered_rules, union_amap
 
 
 def _edge_universe(m: int):
@@ -92,90 +92,31 @@ def _g_level(k: int, bound: int) -> FiniteGroupoid:
     )
 
 
-def _g_face_omap(k, i, obj):
-    m, edges, lay = obj
-    if 0 < i < k:
-        return (m, edges, tuple(l if l <= i else l - 1 for l in lay))
-    drop = 1 if i == 0 else k
-    keep = [e for e in range(m) if lay[e] != drop]
+def _g_induced(obj, keep):
+    """The induced subgraph on the surviving labels."""
     pos = {e: p for p, e in enumerate(keep)}
-    new_edges = tuple(
-        sorted((pos[u], pos[v]) for (u, v) in edges if u in pos and v in pos)
-    )
-    shift = 1 if i == 0 else 0
-    return (len(keep), new_edges, tuple(lay[e] - shift for e in keep))
+    return (tuple(sorted((pos[u], pos[v]) for (u, v) in obj[1] if u in pos and v in pos)),)
 
 
-def _g_face_amap(k, i, x, y, pi):
-    if 0 < i < k:
-        return pi
-    drop = 1 if i == 0 else k
-    keep_x = [e for e in range(x[0]) if x[2][e] != drop]
-    keep_y = [e for e in range(y[0]) if y[2][e] != drop]
-    return _restrict_perm(pi, keep_x, keep_y)
-
-
-def _g_degen_omap(k, i, obj):
-    m, edges, lay = obj
-    return (m, edges, tuple(l if l <= i else l + 1 for l in lay))
+def _g_union(pair):
+    (m1, e1, l1), (m2, e2, l2) = pair
+    edges = e1 + tuple((m1 + u, m1 + v) for (u, v) in e2)
+    return (m1 + m2, tuple(sorted(edges)), l1 + l2)
 
 
 def graphs_G(max_vertices: int, N: int) -> TruncSimpGrpd:
     """Graphs graded by vertex count, with ordered vertex partitions per
-    level and the disjoint-union monoidal map."""
-    levels = tuple(_g_level(k, max_vertices) for k in range(N + 1))
-    faces = {}
-    degens = {}
-    for n in range(1, N + 1):
-        for i in range(n + 1):
-            faces[(n, i)] = GroupoidFunctor(
-                levels[n],
-                levels[n - 1],
-                lambda obj, n=n, i=i: _g_face_omap(n, i, obj),
-                lambda x, y, d, n=n, i=i: _g_face_amap(n, i, x, y, d),
-                name=f"d_{i}",
-            )
-    for n in range(N):
-        for i in range(n + 1):
-            degens[(n, i)] = GroupoidFunctor(
-                levels[n],
-                levels[n + 1],
-                lambda obj, n=n, i=i: _g_degen_omap(n, i, obj),
-                lambda x, y, d: d,
-                name=f"s_{i}",
-            )
-    X = TruncSimpGrpd(
+    level and the disjoint-union monoidal rule."""
+    X = simplicial_space(
         "graphs",
-        N,
-        levels,
-        faces,
-        degens,
+        (_g_level(k, max_vertices) for k in range(N + 1)),
+        *layered_rules(_g_induced),
         max_vertices,
         key_renderer=render_graph_key,
     )
-    X.monoidal = _g_monoidal(X)
+    X.mu = (_g_union, union_amap)
     X.unit_key = (0, (), ())
     return X
-
-
-def _g_monoidal(X: TruncSimpGrpd) -> SimpMap:
-    P = product_simplicial(X, X, grade_bound=X.grade_bound)
-
-    def omap(pair):
-        (m1, e1, l1), (m2, e2, l2) = pair
-        edges = e1 + tuple((m1 + u, m1 + v) for (u, v) in e2)
-        return (m1 + m2, tuple(sorted(edges)), l1 + l2)
-
-    def amap(xs, ys, ds):
-        pi1, pi2 = ds
-        m1 = xs[0][0]
-        return pi1 + tuple(m1 + v for v in pi2)
-
-    comps = tuple(
-        GroupoidFunctor(P.level(n), X.level(n), omap, amap, name="mu")
-        for n in range(X.N + 1)
-    )
-    return SimpMap("mu[graphs]", P, X, comps)
 
 
 def render_graph_key(key) -> str:

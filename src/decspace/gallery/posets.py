@@ -5,8 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..errors import NotAPoset
-from ..groupoids import FiniteGroupoid, GroupoidFunctor
-from ..simplicial import TruncSimpGrpd
+from ..groupoids import discrete_groupoid
+from ..simplicial import TruncSimpGrpd, simplicial_space
 
 
 @dataclass(frozen=True)
@@ -80,49 +80,18 @@ def nerve_of_poset(spec: PosetSpec, N: int) -> TruncSimpGrpd:
             out = [c + (e,) for c in out for e in spec.elements if (c[-1], e) in leq]
         return out
 
-    levels = []
-    for n in range(N + 1):
-        objs = sorted(chains(n), key=lambda c: tuple(order[e] for e in c))
-        levels.append(
-            FiniteGroupoid(
-                f"N(poset)_{n}",
-                objs,
-                lambda x, y: ((),) if x == y else (),
-                lambda g, f: (),
-                lambda d: (),
-                lambda x: (),
-                grade=lambda x: 0,
-                canon_key=lambda x: x,
-            )
+    levels = [
+        discrete_groupoid(
+            f"N(poset)_{n}", sorted(chains(n), key=lambda c: tuple(order[e] for e in c))
         )
-
-    faces = {}
-    degens = {}
-    for n in range(1, N + 1):
-        for i in range(n + 1):
-            faces[(n, i)] = GroupoidFunctor(
-                levels[n],
-                levels[n - 1],
-                lambda c, i=i: c[:i] + c[i + 1 :],
-                lambda x, y, d: (),
-                name=f"d_{i}",
-            )
-    for n in range(N):
-        for i in range(n + 1):
-            degens[(n, i)] = GroupoidFunctor(
-                levels[n],
-                levels[n + 1],
-                lambda c, i=i: c[: i + 1] + c[i:],
-                lambda x, y, d: (),
-                name=f"s_{i}",
-            )
-
-    return TruncSimpGrpd(
+        for n in range(N + 1)
+    ]
+    discrete = lambda x, y, d: ()
+    return simplicial_space(
         "poset-nerve",
-        N,
-        tuple(levels),
-        faces,
-        degens,
+        levels,
+        lambda n, i: (lambda c: c[:i] + c[i + 1 :], discrete),
+        lambda n, i: (lambda c: c[: i + 1] + c[i:], discrete),
         0,
         key_renderer=lambda k: f"{k[0]}<={k[1]}" if len(k) == 2 else str(k),
     )

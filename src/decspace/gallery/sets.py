@@ -16,7 +16,8 @@ from functools import lru_cache
 from itertools import combinations, permutations, product as iproduct
 
 from ..groupoids import FiniteGroupoid, GroupoidFunctor
-from ..simplicial import SimpMap, TruncSimpGrpd, dec, product_simplicial
+from ..simplicial import SimpMap, TruncSimpGrpd, dec, simplicial_space
+from .fatnerve import string_nerve_rules
 
 
 def _perm_compose(g, f):
@@ -33,6 +34,68 @@ def _perm_inverse(p):
 def _restrict_perm(pi, keep_src, keep_tgt):
     pos = {e: i for i, e in enumerate(keep_tgt)}
     return tuple(pos[pi[e]] for e in keep_src)
+
+
+def _arrow_id(x, y, d):
+    return d
+
+
+def _keep_outside(drop):
+    """Outer-face arrow rule: restrict the permutation to the labels outside
+    the dropped layer."""
+
+    def amap(x, y, pi):
+        keep_x = [e for e, l in enumerate(x[-1]) if l != drop]
+        keep_y = [e for e, l in enumerate(y[-1]) if l != drop]
+        return _restrict_perm(pi, keep_x, keep_y)
+
+    return amap
+
+
+def layered_rules(induced, mirrored: bool = False):
+    """Face and degeneracy rules of a family of objects (m, ..., layers) on
+    the labels {0..m-1}, with label permutations as arrows.
+
+    An inner face merges two adjacent layers and a degeneracy inserts an
+    empty one; both keep every label.  The outer faces delete layer 1 (d_0)
+    or layer k (d_k), close up the surviving labels order-preservingly, and
+    keep ``induced(obj, keep)``, the middle of the object restricted to the
+    surviving labels ``keep``.  ``mirrored`` counts layers from the other
+    end, so d_0 deletes layer k.
+    """
+
+    def face(n, i):
+        j = n - i if mirrored else i
+        if 0 < j < n:
+            return (
+                lambda obj: obj[:-1] + (tuple(l if l <= j else l - 1 for l in obj[-1]),),
+                _arrow_id,
+            )
+        drop, shift = (1, 1) if j == 0 else (n, 0)
+
+        def omap(obj):
+            lay = obj[-1]
+            keep = [e for e, l in enumerate(lay) if l != drop]
+            return (len(keep),) + induced(obj, keep) + (tuple(lay[e] - shift for e in keep),)
+
+        return omap, _keep_outside(drop)
+
+    def degen(n, i):
+        j = n - i if mirrored else i
+        return (
+            lambda obj: obj[:-1] + (tuple(l if l <= j else l + 1 for l in obj[-1]),),
+            _arrow_id,
+        )
+
+    return face, degen
+
+
+def union_amap(xs, ys, ds):
+    """Arrow rule of the disjoint-union monoidal map: the second permutation
+    shifted past the first object's labels."""
+    pi1, pi2 = ds
+    m1 = xs[0][0]
+    return pi1 + tuple(m1 + v for v in pi2)
 
 
 # ---------------------------------------------------------------------------
@@ -87,88 +150,27 @@ def _b_level(k: int, bound: int) -> FiniteGroupoid:
     )
 
 
-def _b_face_omap(k, i, obj):
-    m, layers = obj
-    if 0 < i < k:
-        return (m, tuple(l if l <= i else l - 1 for l in layers))
-    drop = 1 if i == 0 else k
-    keep = [e for e in range(m) if layers[e] != drop]
-    shift = 1 if i == 0 else 0
-    return (len(keep), tuple(layers[e] - shift for e in keep))
-
-
-def _b_face_amap(k, i, x, y, pi):
-    if 0 < i < k:
-        return pi
-    drop = 1 if i == 0 else k
-    keep_x = [e for e in range(x[0]) if x[1][e] != drop]
-    keep_y = [e for e in range(y[0]) if y[1][e] != drop]
-    return _restrict_perm(pi, keep_x, keep_y)
-
-
-def _b_degen_omap(k, i, obj):
-    m, layers = obj
-    return (m, tuple(l if l <= i else l + 1 for l in layers))
+def _b_union(pair):
+    (m1, l1), (m2, l2) = pair
+    return (m1 + m2, l1 + l2)
 
 
 def binomial_B(max_size: int, N: int) -> TruncSimpGrpd:
     """The binomial family: finite sets graded by size, layered per level.
 
-    Ships the disjoint-union monoidal map (shift-relabelled union, which is
+    Ships the disjoint-union monoidal rule (shift-relabelled union, which is
     strictly natural) and canonical keys equal to layer-size tuples.
     """
-    levels = tuple(_b_level(k, max_size) for k in range(N + 1))
-    faces = {}
-    degens = {}
-    for n in range(1, N + 1):
-        for i in range(n + 1):
-            faces[(n, i)] = GroupoidFunctor(
-                levels[n],
-                levels[n - 1],
-                lambda obj, n=n, i=i: _b_face_omap(n, i, obj),
-                lambda x, y, d, n=n, i=i: _b_face_amap(n, i, x, y, d),
-                name=f"d_{i}",
-            )
-    for n in range(N):
-        for i in range(n + 1):
-            degens[(n, i)] = GroupoidFunctor(
-                levels[n],
-                levels[n + 1],
-                lambda obj, n=n, i=i: _b_degen_omap(n, i, obj),
-                lambda x, y, d: d,
-                name=f"s_{i}",
-            )
-    X = TruncSimpGrpd(
+    X = simplicial_space(
         "binomial",
-        N,
-        levels,
-        faces,
-        degens,
+        (_b_level(k, max_size) for k in range(N + 1)),
+        *layered_rules(lambda obj, keep: ()),
         max_size,
         key_renderer=lambda key: str(key[0]) if len(key) == 1 else str(key),
     )
-    X.monoidal = _b_monoidal(X)
+    X.mu = (_b_union, union_amap)
     X.unit_key = (0,)
     return X
-
-
-def _b_monoidal(X: TruncSimpGrpd) -> SimpMap:
-    P = product_simplicial(X, X, grade_bound=X.grade_bound)
-
-    def omap(pair):
-        (m1, l1), (m2, l2) = pair
-        return (m1 + m2, l1 + l2)
-
-    def amap(xs, ys, ds):
-        p1, p2 = ds
-        m1 = xs[0][0]
-        return p1 + tuple(m1 + v for v in p2)
-
-    comps = tuple(
-        GroupoidFunctor(P.level(n), X.level(n), omap, amap, name="mu")
-        for n in range(X.N + 1)
-    )
-    return SimpMap("mu[binomial]", P, X, comps)
 
 
 # ---------------------------------------------------------------------------
@@ -247,75 +249,14 @@ def _i_level(k: int, bound: int) -> FiniteGroupoid:
     )
 
 
-def _inj_compose(g, f):
-    return tuple(g[v] for v in f)
-
-
-def _i_face_omap(k, i, obj):
-    sizes, maps = obj
-    if i == 0:
-        return (sizes[1:], maps[1:])
-    if i == k:
-        return (sizes[:-1], maps[:-1])
-    merged = _inj_compose(maps[i], maps[i - 1])
-    return (
-        sizes[:i] + sizes[i + 1 :],
-        maps[: i - 1] + (merged,) + maps[i + 1 :],
-    )
-
-
-def _i_face_amap(k, i, x, y, phis):
-    return phis[:i] + phis[i + 1 :]
-
-
-def _i_degen_omap(k, i, obj):
-    sizes, maps = obj
-    ident = tuple(range(sizes[i]))
-    return (
-        sizes[: i + 1] + sizes[i:],
-        maps[:i] + (ident,) + maps[i:],
-    )
-
-
-def _i_degen_amap(k, i, x, y, phis):
-    return phis[: i + 1] + phis[i:]
-
-
-def _string_space(name: str, bound: int, N: int, discrete: bool) -> TruncSimpGrpd:
-    if discrete:
-        levels = tuple(_oi_level(k, bound) for k in range(N + 1))
-    else:
-        levels = tuple(_i_level(k, bound) for k in range(N + 1))
-    faces = {}
-    degens = {}
-    for n in range(1, N + 1):
-        for i in range(n + 1):
-            faces[(n, i)] = GroupoidFunctor(
-                levels[n],
-                levels[n - 1],
-                lambda obj, n=n, i=i: _i_face_omap(n, i, obj),
-                (lambda x, y, d: ())
-                if discrete
-                else (lambda x, y, d, n=n, i=i: _i_face_amap(n, i, x, y, d)),
-                name=f"d_{i}",
-            )
-    for n in range(N):
-        for i in range(n + 1):
-            degens[(n, i)] = GroupoidFunctor(
-                levels[n],
-                levels[n + 1],
-                lambda obj, n=n, i=i: _i_degen_omap(n, i, obj),
-                (lambda x, y, d: ())
-                if discrete
-                else (lambda x, y, d, n=n, i=i: _i_degen_amap(n, i, x, y, d)),
-                name=f"s_{i}",
-            )
-    return TruncSimpGrpd(
+def _string_space(name: str, levels, bound: int) -> TruncSimpGrpd:
+    return simplicial_space(
         name,
-        N,
         levels,
-        faces,
-        degens,
+        *string_nerve_rules(
+            lambda x, i: _perm_compose(x[1][i], x[1][i - 1]),
+            lambda a: tuple(range(a)),
+        ),
         bound,
         key_renderer=lambda key: (
             f"{key[0]}->{key[1]}" if len(key) == 2 else str(key)
@@ -337,31 +278,23 @@ def _oi_level(k: int, bound: int) -> FiniteGroupoid:
     )
 
 
-def _i_monoidal(X: TruncSimpGrpd) -> SimpMap:
-    P = product_simplicial(X, X, grade_bound=X.grade_bound)
-
-    def omap(pair):
-        (sa, fa), (sb, fb) = pair
-        sizes = tuple(a + b for a, b in zip(sa, sb))
-        maps = tuple(
-            tuple(f[e] for e in range(sa[j])) + tuple(sa[j + 1] + g[e] for e in range(sb[j]))
-            for j, (f, g) in enumerate(zip(fa, fb))
-        )
-        return (sizes, maps)
-
-    def amap(xs, ys, ds):
-        (sa, _), _ = xs
-        p, q = ds
-        return tuple(
-            phi + tuple(sa[j] + v for v in psi)
-            for j, (phi, psi) in enumerate(zip(p, q))
-        )
-
-    comps = tuple(
-        GroupoidFunctor(P.level(n), X.level(n), omap, amap, name="mu")
-        for n in range(X.N + 1)
+def _i_union(pair):
+    (sa, fa), (sb, fb) = pair
+    sizes = tuple(a + b for a, b in zip(sa, sb))
+    maps = tuple(
+        tuple(f[e] for e in range(sa[j])) + tuple(sa[j + 1] + g[e] for e in range(sb[j]))
+        for j, (f, g) in enumerate(zip(fa, fb))
     )
-    return SimpMap("mu[injections]", P, X, comps)
+    return (sizes, maps)
+
+
+def _i_union_amap(xs, ys, ds):
+    (sa, _), _ = xs
+    p, q = ds
+    return tuple(
+        phi + tuple(sa[j] + v for v in psi)
+        for j, (phi, psi) in enumerate(zip(p, q))
+    )
 
 
 def injections_I(max_size: int, N: int):
@@ -373,8 +306,8 @@ def injections_I(max_size: int, N: int):
     levelwise equivalence from the bottom decalage of the binomial family,
     sending a layered set to its flag of layer-prefix subsets.
     """
-    I = _string_space("injections", max_size, N, discrete=False)
-    I.monoidal = _i_monoidal(I)
+    I = _string_space("injections", (_i_level(k, max_size) for k in range(N + 1)), max_size)
+    I.mu = (_i_union, _i_union_amap)
     I.unit_key = (0, 0)
     B_plus = binomial_B(max_size, N + 1)
     DecB, _ = dec(B_plus, "bottom")
@@ -419,7 +352,9 @@ def injections_I(max_size: int, N: int):
 def oi_space(max_size: int, N: int) -> TruncSimpGrpd:
     """Strings of monotone injections with only identity morphisms (the fat
     nerve of ordered sets and monotone injections is discrete)."""
-    return _string_space("ordered-injections", max_size, N, discrete=True)
+    return _string_space(
+        "ordered-injections", (_oi_level(k, max_size) for k in range(N + 1)), max_size
+    )
 
 
 def oi_to_i(max_size: int, N: int) -> SimpMap:

@@ -36,7 +36,8 @@ from ..linalg_fq import (
     rank,
     span_key,
 )
-from ..simplicial import SimpMap, TruncSimpGrpd, dec
+from ..simplicial import SimpMap, TruncSimpGrpd, dec, simplicial_space
+from .fatnerve import string_nerve_rules
 
 
 def _dim(obj, i, j):
@@ -344,34 +345,15 @@ def vect_S(q: int, max_total_dim: int, N: int) -> TruncSimpGrpd:
                 canon_key=lambda x: x[1],
             )
         )
-    faces = {}
-    degens = {}
-    for n in range(1, N + 1):
-        for i in range(n + 1):
-            dm = delta.coface(i, n)
-            faces[(n, i)] = GroupoidFunctor(
-                levels[n],
-                levels[n - 1],
-                lambda obj, dm=dm, q=q: _reindex_obj(obj, dm, q),
-                lambda x, y, d, dm=dm: _reindex_arr(d, dm, x),
-                name=f"d_{i}",
-            )
-    for n in range(N):
-        for i in range(n + 1):
-            dm = delta.codegeneracy(i, n)
-            degens[(n, i)] = GroupoidFunctor(
-                levels[n],
-                levels[n + 1],
-                lambda obj, dm=dm, q=q: _reindex_obj(obj, dm, q),
-                lambda x, y, d, dm=dm: _reindex_arr(d, dm, x),
-                name=f"s_{i}",
-            )
-    return TruncSimpGrpd(
+
+    def reindex(dm):
+        return (lambda obj: _reindex_obj(obj, dm, q), lambda x, y, d: _reindex_arr(d, dm, x))
+
+    return simplicial_space(
         f"vect(q={q})",
-        N,
-        tuple(levels),
-        faces,
-        degens,
+        levels,
+        lambda n, i: reindex(delta.coface(i, n)),
+        lambda n, i: reindex(delta.codegeneracy(i, n)),
         max_total_dim,
         key_renderer=lambda key: str(key[0][-1]),
     )
@@ -438,44 +420,12 @@ def mono_nerve(q: int, bound: int, N: int) -> TruncSimpGrpd:
             )
         )
 
-    def face_omap(n, i, obj):
-        dims, mats = obj
-        if i == 0:
-            return (dims[1:], mats[1:])
-        if i == n:
-            return (dims[:-1], mats[:-1])
-        merged = _mul(mats[i], mats[i - 1], dims[i + 1], dims[i], dims[i - 1], q)
-        return (dims[:i] + dims[i + 1 :], mats[: i - 1] + (merged,) + mats[i + 1 :])
-
-    faces = {}
-    degens = {}
-    for n in range(1, N + 1):
-        for i in range(n + 1):
-            faces[(n, i)] = GroupoidFunctor(
-                levels[n],
-                levels[n - 1],
-                lambda obj, n=n, i=i: face_omap(n, i, obj),
-                lambda x, y, d, i=i: d[:i] + d[i + 1 :],
-                name=f"d_{i}",
-            )
-    for n in range(N):
-        for i in range(n + 1):
-            degens[(n, i)] = GroupoidFunctor(
-                levels[n],
-                levels[n + 1],
-                lambda obj, i=i: (
-                    obj[0][: i + 1] + obj[0][i:],
-                    obj[1][:i] + (eye(obj[0][i]),) + obj[1][i:],
-                ),
-                lambda x, y, d, i=i: d[: i + 1] + d[i:],
-                name=f"s_{i}",
-            )
-    return TruncSimpGrpd(
+    return simplicial_space(
         f"mono(q={q})",
-        N,
-        tuple(levels),
-        faces,
-        degens,
+        levels,
+        *string_nerve_rules(
+            lambda x, i: _mul(x[1][i], x[1][i - 1], x[0][i + 1], x[0][i], x[0][i - 1], q), eye
+        ),
         bound,
         key_renderer=lambda key: "<=".join(str(d) for d in key),
     )

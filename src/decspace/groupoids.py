@@ -356,6 +356,31 @@ def functors_equal(F: GroupoidFunctor, G: GroupoidFunctor) -> str | None:
     return None
 
 
+def functor_defect(F: GroupoidFunctor) -> str | None:
+    """None if F is a functor on a generating family, else a description.
+
+    Every generating arrow must map into the hom-set between the images of
+    its ends, the identity of each class representative r to the identity of
+    F r, and every composite of two automorphisms of r to the composite of
+    their images.
+    """
+    A, B = F.source, F.target
+    for (x, y, d) in generating_arrows(A):
+        if F.arr(x, y, d) not in B.hom(F.obj(x), F.obj(y)):
+            return f"image of an arrow {x!r}->{y!r} is not in the target hom-set"
+    for cls in iso_classes(A):
+        r = cls.rep
+        if F.arr(r, r, A.identity(r)) != B.identity(F.obj(r)):
+            return f"identity of {r!r} is not sent to an identity"
+        aut = A.hom(r, r)
+        images = [F.arr(r, r, a) for a in aut]
+        for a, fa in zip(aut, images):
+            for b, fb in zip(aut, images):
+                if F.arr(r, r, A.compose(a, b)) != B.compose(fa, fb):
+                    return f"composition in Aut({r!r}) is not preserved"
+    return None
+
+
 def is_equivalence(F: GroupoidFunctor) -> tuple[bool, str | None]:
     """Essential surjectivity plus hom-set bijections.
 
@@ -507,19 +532,6 @@ def tuple_functor(functors: list[GroupoidFunctor], source: FiniteGroupoid, targe
         target,
         lambda x: tuple(F.obj(x) for F in functors),
         lambda x, y, d: tuple(F.arr(x, y, d) for F in functors),
-        name=name,
-    )
-
-
-def product_functor(functors: list[GroupoidFunctor], source: FiniteGroupoid, target: FiniteGroupoid, name: str = "") -> GroupoidFunctor:
-    """F_1 x ... x F_k between product groupoids, componentwise."""
-    return GroupoidFunctor(
-        source,
-        target,
-        lambda xs: tuple(F.obj(x) for F, x in zip(functors, xs)),
-        lambda xs, ys, ds: tuple(
-            F.arr(x, y, d) for F, x, y, d in zip(functors, xs, ys, ds)
-        ),
         name=name,
     )
 

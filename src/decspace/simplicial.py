@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import delta
 from .delta import DeltaMap, DeltaSquare
@@ -22,12 +23,12 @@ from .groupoids import (
     GroupoidSquare,
     compose_functors,
     fibrewise_equivalence,
+    functor_defect,
     functors_equal,
     homotopy_fibre,
     identity_functor,
     is_equivalence,
     is_pullback_square,
-    product_functor,
     product_list,
     terminal_groupoid,
 )
@@ -40,8 +41,9 @@ class TruncSimpGrpd:
 
     ``faces[(n, i)]``: X_n -> X_{n-1} for 0 <= i <= n <= N;
     ``degens[(n, i)]``: X_n -> X_{n+1} for 0 <= i <= n < N.
-    Optional monoidal data (a SimpMap from the product and the key of the
-    unit basis element) is attached by the gallery constructors.
+    Optional monoidal data: ``mu``, the (omap, amap) pair of the monoidal
+    functor X_n x X_n -> X_n (the same at every level), and the key of the
+    unit basis element.  ``monoidal`` builds the SimpMap from ``mu``.
     """
 
     name: str
@@ -51,8 +53,21 @@ class TruncSimpGrpd:
     degens: dict
     grade_bound: int
     key_renderer: object = None
-    monoidal: object = None
+    mu: object = None
     unit_key: object = None
+
+    @cached_property
+    def monoidal(self) -> SimpMap | None:
+        """mu: X x X -> X on the product at the space's grade bound, built on
+        first use; None when the space has no monoidal rule."""
+        if self.mu is None:
+            return None
+        P = product_simplicial(self, self, grade_bound=self.grade_bound)
+        comps = tuple(
+            GroupoidFunctor(P.level(n), self.level(n), *self.mu, name="mu")
+            for n in range(self.N + 1)
+        )
+        return SimpMap(f"mu[{self.name}]", P, self, comps)
 
     def level(self, n: int) -> FiniteGroupoid:
         if not 0 <= n <= self.N:
@@ -117,17 +132,48 @@ def identity_simp_map(X: TruncSimpGrpd) -> SimpMap:
     return SimpMap("id", X, X, tuple(identity_functor(L) for L in X.levels))
 
 
+def simplicial_space(name, levels, face, degen, grade_bound, key_renderer=None) -> TruncSimpGrpd:
+    """The space with the given levels X_0..X_N whose face d_i: X_n -> X_{n-1}
+    and degeneracy s_i: X_n -> X_{n+1} have the (omap, amap) pairs
+    ``face(n, i)`` and ``degen(n, i)``; each rule is called once per pair."""
+    levels = tuple(levels)
+    N = len(levels) - 1
+    faces = {
+        (n, i): GroupoidFunctor(levels[n], levels[n - 1], *face(n, i), name=f"d_{i}")
+        for n in range(1, N + 1)
+        for i in range(n + 1)
+    }
+    degens = {
+        (n, i): GroupoidFunctor(levels[n], levels[n + 1], *degen(n, i), name=f"s_{i}")
+        for n in range(N)
+        for i in range(n + 1)
+    }
+    return TruncSimpGrpd(name, N, levels, faces, degens, grade_bound, key_renderer=key_renderer)
+
+
 # ---------------------------------------------------------------------------
 # validation and evaluation
 
 
 def validate_simplicial(X: TruncSimpGrpd) -> CheckReport:
-    """Verify all simplicial identities and grade conditions strictly.
+    """Verify functoriality of the structure maps, all simplicial identities
+    and the grade conditions strictly.
 
-    Functor equality is checked on all objects and on a generating family of
-    arrows, which suffices because both sides are functors.
+    Functoriality and functor equality are checked on all objects and on a
+    generating family of arrows; once the structure maps are functors, that
+    suffices for equality.
     """
     report = CheckReport("validate_simplicial", X.name, X.N, X.grade_bound)
+
+    bad = None
+    structure_maps = [(f"face d_{i} at level {n}", F) for (n, i), F in X.faces.items()]
+    structure_maps += [(f"degeneracy s_{i} at level {n}", F) for (n, i), F in X.degens.items()]
+    for desc, F in structure_maps:
+        defect = functor_defect(F)
+        if defect is not None:
+            bad = f"{desc}: {defect}"
+            break
+    report.record("faces and degeneracies are functors", bad is None, bad)
 
     def eq(desc, F, G):
         defect = functors_equal(F, G)
@@ -301,32 +347,33 @@ def segal_power(X: TruncSimpGrpd, r: int, grade_bound: int | None = None) -> Fin
     sigma_i: d_0(a_i) -> d_1(a_{i+1}) an arrow of X_0.  With a grade bound,
     only strings whose would-be glued object fits under the bound are kept
     (grades add along the string and overlaps sit in X_0, so the glued grade
-    is the alternating sum below).
+    is the sum of the edge grades less the grades of the overlaps).
     """
     X1, X0 = X.level(1), X.level(0)
     d0, d1 = X.face(1, 0), X.face(1, 1)
 
     objects = []
 
-    def glue_grade(edges):
-        total = sum(X1.grade(a) for a in edges)
-        total -= sum(X0.grade(d0.obj(a)) for a in edges[:-1])
-        return total
-
-    def extend(edges, sigmas):
+    def extend(edges, sigmas, glue):
+        # glue is the grade of the glued string so far.  Appending a adds
+        # grade(a) - grade(d_0 prev) >= 0: faces never raise grade and the
+        # connecting X_0 iso preserves it, so grade(a) >= grade(d_1 a) =
+        # grade(d_0 prev).  A prefix over the bound has no completion under it.
+        if grade_bound is not None and glue > grade_bound:
+            return
         if len(edges) == r:
-            if grade_bound is None or glue_grade(edges) <= grade_bound:
-                objects.append((edges, sigmas))
+            objects.append((edges, sigmas))
             return
         for a in X1.objects:
             if not edges:
-                extend((a,), ())
+                extend((a,), (), X1.grade(a))
             else:
-                prev = edges[-1]
-                for s in X0.hom(d0.obj(prev), d1.obj(a)):
-                    extend(edges + (a,), sigmas + (s,))
+                end = d0.obj(edges[-1])
+                step = X1.grade(a) - X0.grade(end)
+                for s in X0.hom(end, d1.obj(a)):
+                    extend(edges + (a,), sigmas + (s,), glue + step)
 
-    extend((), ())
+    extend((), (), 0)
 
     def hom(o1, o2):
         (e1, s1), (e2, s2) = o1, o2
@@ -592,30 +639,15 @@ def dec(X: TruncSimpGrpd, side: str = "bottom") -> tuple[TruncSimpGrpd, SimpMap]
     """
     if X.N < 1:
         raise LevelOutOfRange("decalage needs at least one level")
+    if side not in ("bottom", "top"):
+        raise ValueError("side must be 'bottom' or 'top'")
     M = X.N - 1
     levels = X.levels[1:]
-    faces = {}
-    degens = {}
-    if side == "bottom":
-        for n in range(1, M + 1):
-            for i in range(n + 1):
-                faces[(n, i)] = X.face(n + 1, i + 1)
-        for n in range(M):
-            for i in range(n + 1):
-                degens[(n, i)] = X.degeneracy(n + 1, i + 1)
-        comps = tuple(X.face(k + 1, 0) for k in range(M + 1))
-        name = f"DecBot({X.name})"
-    elif side == "top":
-        for n in range(1, M + 1):
-            for i in range(n + 1):
-                faces[(n, i)] = X.face(n + 1, i)
-        for n in range(M):
-            for i in range(n + 1):
-                degens[(n, i)] = X.degeneracy(n + 1, i)
-        comps = tuple(X.face(k + 1, k + 1) for k in range(M + 1))
-        name = f"DecTop({X.name})"
-    else:
-        raise ValueError("side must be 'bottom' or 'top'")
+    s = 1 if side == "bottom" else 0  # index shift of the kept structure maps
+    faces = {(n, i): X.face(n + 1, i + s) for n in range(1, M + 1) for i in range(n + 1)}
+    degens = {(n, i): X.degeneracy(n + 1, i + s) for n in range(M) for i in range(n + 1)}
+    comps = tuple(X.face(k + 1, 0 if s else k + 1) for k in range(M + 1))
+    name = f"DecBot({X.name})" if s else f"DecTop({X.name})"
     Y = TruncSimpGrpd(name, M, levels, faces, degens, X.grade_bound,
                       key_renderer=X.key_renderer)
     dec_map = SimpMap(f"dec-{side}[{X.name}]", Y, truncate(X, M), comps)
@@ -739,34 +771,30 @@ def product_simplicial(X: TruncSimpGrpd, Y: TruncSimpGrpd, grade_bound: int | No
         product_list([X.level(n), Y.level(n)], grade_bound=bound, name=f"({X.name}x{Y.name})_{n}")
         for n in range(X.N + 1)
     )
-    faces = {}
-    degens = {}
-    for n in range(1, X.N + 1):
-        for i in range(n + 1):
-            faces[(n, i)] = product_functor(
-                [X.face(n, i), Y.face(n, i)], levels[n], levels[n - 1], name=f"d_{i}"
-            )
-    for n in range(X.N):
-        for i in range(n + 1):
-            degens[(n, i)] = product_functor(
-                [X.degeneracy(n, i), Y.degeneracy(n, i)], levels[n], levels[n + 1], name=f"s_{i}"
-            )
+
+    def pair(F, G):
+        return (
+            lambda xs: (F.obj(xs[0]), G.obj(xs[1])),
+            lambda xs, ys, ds: (F.arr(xs[0], ys[0], ds[0]), G.arr(xs[1], ys[1], ds[1])),
+        )
+
     renderer = None
     if X.key_renderer is not None and Y.key_renderer is not None:
         renderer = lambda k: f"({X.render_key(k[0])},{Y.render_key(k[1])})"
-    return TruncSimpGrpd(
-        f"{X.name}x{Y.name}", X.N, levels, faces, degens, bound, key_renderer=renderer
+    return simplicial_space(
+        f"{X.name}x{Y.name}",
+        levels,
+        lambda n, i: pair(X.face(n, i), Y.face(n, i)),
+        lambda n, i: pair(X.degeneracy(n, i), Y.degeneracy(n, i)),
+        bound,
+        key_renderer=renderer,
     )
 
 
 def terminal_space(N: int) -> TruncSimpGrpd:
     """The one-point simplicial groupoid."""
-    pt = terminal_groupoid()
-    levels = tuple(pt for _ in range(N + 1))
-    ident = identity_functor(pt)
-    faces = {(n, i): ident for n in range(1, N + 1) for i in range(n + 1)}
-    degens = {(n, i): ident for n in range(N) for i in range(n + 1)}
-    return TruncSimpGrpd("1", N, levels, faces, degens, 0, key_renderer=str)
+    ident = lambda n, i: (lambda x: x, lambda x, y, d: d)
+    return simplicial_space("1", [terminal_groupoid()] * (N + 1), ident, ident, 0, key_renderer=str)
 
 
 def constant_map_to_point(X: TruncSimpGrpd) -> SimpMap:

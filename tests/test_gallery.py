@@ -1,3 +1,7 @@
+import hashlib
+import json
+from pathlib import Path
+
 import pytest
 
 from decspace.errors import NotAPoset, UnsupportedField
@@ -17,15 +21,27 @@ from decspace.gallery import (
     poset_category,
     vect_S,
 )
-from decspace.gallery.posets import PosetSpec, chain_poset
-from decspace.groupoids import is_equivalence, iso_classes, validate_groupoid
+from decspace.gallery.posets import PosetSpec, chain_poset, divisibility_poset
+from decspace.groupoids import (
+    generating_arrows,
+    is_equivalence,
+    iso_classes,
+    validate_groupoid,
+)
 from decspace.simplicial import (
     check_culf,
     check_decomposition,
     check_segal,
+    corrupted_variant,
     dec,
+    product_simplicial,
+    truncate,
     validate_simplicial,
 )
+
+
+def _z3():
+    return group_category("Z3", (0, 1, 2), lambda a, b: (a + b) % 3, 0)
 
 
 def test_every_constructor_validates(binomial3, forests3, graphs3, vect22, chain_nerve):
@@ -38,6 +54,8 @@ def test_every_constructor_validates(binomial3, forests3, graphs3, vect22, chain
         injections_I(2, 3)[0],
         oi_space(2, 3),
         mono_nerve(2, 2, 2),
+        fat_nerve(_z3(), 3),
+        fat_nerve(poset_category(chain_poset(2)), 3),
     ]
     for X in spaces:
         assert validate_simplicial(X).passed, X.name
@@ -104,8 +122,7 @@ def _counting_functor(A, B):
 
 
 def test_fat_nerve_one_object_group():
-    cat = group_category("Z3", (0, 1, 2), lambda a, b: (a + b) % 3, 0)
-    X = fat_nerve(cat, 3)
+    X = fat_nerve(_z3(), 3)
     table = iso_classes(X.level(1))
     assert len(table) == 1
     assert table.classes[0].aut_order == 3
@@ -175,6 +192,25 @@ def test_monoidal_maps_culf(binomial3, graphs3):
     for X in (binomial3, H, graphs3, I):
         rep = check_culf(X.monoidal)
         assert rep.passed, X.name
+        assert X.monoidal.naturality_defect() is None, X.name
+        assert X.monoidal is X.monoidal
+
+
+def test_monoidal_built_on_first_use():
+    X = binomial_B(2, 2)
+    assert "monoidal" not in vars(X)
+    assert X.monoidal.name == "mu[binomial]"
+    assert "monoidal" in vars(X)
+    # spaces without a monoidal rule
+    others = [
+        truncate(X, 1),
+        dec(X)[0],
+        product_simplicial(X, X),
+        corrupted_variant(X, 0)[0],
+        nerve_of_poset(chain_poset(2), 2),
+    ]
+    for Y in others:
+        assert Y.monoidal is None, Y.name
 
 
 def test_oi_to_i_naturality():
@@ -215,3 +251,60 @@ def test_dec_top_forests_segal():
     Y, dmap = dec(H, "top")
     assert check_segal(Y).passed
     assert check_culf(dmap).passed
+
+
+# ---------------------------------------------------------------------------
+# golden digests of every structure map
+
+GOLDEN_MAPS = Path(__file__).parent / "golden" / "structure_maps.json"
+
+
+def _digest_spaces():
+    return {
+        "binomial_B(3,3)": binomial_B(3, 3),
+        "injections_I(2,3)": injections_I(2, 3)[0],
+        "oi_space(2,3)": oi_space(2, 3),
+        "forests_H(3,3)": forests_H(3, 3),
+        "graphs_G(2,3)": graphs_G(2, 3),
+        "vect_S(2,2,3)": vect_S(2, 2, 3),
+        "mono_nerve(2,2,2)": mono_nerve(2, 2, 2),
+        "nerve_of_poset(chain2,3)": nerve_of_poset(chain_poset(2), 3),
+        "nerve_of_poset(div124,3)": nerve_of_poset(divisibility_poset((1, 2, 4)), 3),
+        "fat_nerve(Z3,3)": fat_nerve(_z3(), 3),
+        "fat_nerve(chain2,3)": fat_nerve(poset_category(chain_poset(2)), 3),
+    }
+
+
+def _functor_digest(F):
+    src = F.source
+    objs = [F.obj(x) for x in src.objects]
+    arrs = [F.arr(x, y, d) for (x, y, d) in generating_arrows(src)]
+    return hashlib.sha256(repr((F.name, objs, arrs)).encode()).hexdigest()
+
+
+def structure_map_digests() -> dict:
+    """sha256 per (space, face or degeneracy or monoidal component, level)."""
+    out = {}
+    for label, X in _digest_spaces().items():
+        for n in range(1, X.N + 1):
+            for i in range(n + 1):
+                out[f"{label} d_{i}@{n}"] = _functor_digest(X.face(n, i))
+        for n in range(X.N):
+            for i in range(n + 1):
+                out[f"{label} s_{i}@{n}"] = _functor_digest(X.degeneracy(n, i))
+        if X.monoidal is not None:
+            for n in range(X.N + 1):
+                out[f"{label} mu@{n}"] = _functor_digest(X.monoidal.component(n))
+    return out
+
+
+def test_structure_maps_match_golden():
+    # recorded before the constructors were rewired; any change to an object
+    # or arrow image of a face, degeneracy or monoidal component shows here
+    golden = json.loads(GOLDEN_MAPS.read_text())
+    assert structure_map_digests() == golden
+
+
+if __name__ == "__main__":
+    # PYTHONPATH=src python tests/test_gallery.py  rewrites the golden file
+    GOLDEN_MAPS.write_text(json.dumps(structure_map_digests(), indent=1, sort_keys=True) + "\n")

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -34,6 +35,7 @@ from decspace.simplicial import (
     evaluate,
     identity_simp_map,
     product_simplicial,
+    segal_power,
     terminal_space,
     validate_simplicial,
 )
@@ -50,6 +52,33 @@ def test_validate_corrupted_names_identity(forests3):
     rep = validate_simplicial(Xc)
     assert not rep.passed
     assert "=" in rep.first_failure().desc  # a named simplicial identity
+
+
+def test_validate_rejects_arrow_outside_hom_set():
+    X = binomial_B(2, 2)
+    F = X.face(1, 0)
+    bad = GroupoidFunctor(F.source, F.target, F.obj, lambda x, y, d: ("not an arrow",), name="d_0")
+    failure = validate_simplicial(replace(X, faces={**X.faces, (1, 0): bad})).first_failure()
+    assert failure.desc == "faces and degeneracies are functors"
+    assert failure.witness.startswith("face d_0 at level 1: ")
+    assert "not in the target hom-set" in failure.witness
+
+
+@pytest.mark.parametrize("r", [2, 3])
+def test_segal_power_bound_keeps_exactly_the_glued_strings_under_it(r):
+    # the bound prunes partial strings; the result must be the unbounded
+    # power filtered by glue grade, in the same order
+    for X in (graphs_G(2, 3), binomial_B(3, 3)):
+        X1, X0, d0 = X.level(1), X.level(0), X.face(1, 0)
+
+        def glue(o):
+            edges = o[0]
+            return sum(X1.grade(a) for a in edges) - sum(X0.grade(d0.obj(a)) for a in edges[:-1])
+
+        full = segal_power(X, r).objects
+        bounded = segal_power(X, r, grade_bound=X.grade_bound).objects
+        assert bounded == tuple(o for o in full if glue(o) <= X.grade_bound)
+        assert len(bounded) < len(full)
 
 
 def test_evaluate_identity(binomial3):
