@@ -339,8 +339,9 @@ def multiplication(X: TruncSimpGrpd, grade_bound: int) -> SparseMat:
     canon = _level1_canon(X)
     mu1 = X.monoidal.component(1)
     mat = SparseMat()
-    for a in basis(X, grade_bound):
-        for b in basis(X, grade_bound):
+    elems = basis(X, grade_bound)
+    for a in elems:
+        for b in elems:
             if a.grade + b.grade > grade_bound:
                 continue
             prod = mu1.obj((a.rep, b.rep))
@@ -368,10 +369,11 @@ def check_bialgebra(X: TruncSimpGrpd, grade_bound: int) -> CheckReport:
     dmat = comultiplication(X, grade_bound)
     cols = dmat.columns()
     eps = counit(X, grade_bound)
+    elems = basis(X, grade_bound)
 
     ok, wit = True, None
-    for a in basis(X, grade_bound):
-        for b in basis(X, grade_bound):
+    for a in elems:
+        for b in elems:
             if a.grade + b.grade > grade_bound:
                 continue
             ck = prod_key[(a.key, b.key)]
@@ -390,8 +392,8 @@ def check_bialgebra(X: TruncSimpGrpd, grade_bound: int) -> CheckReport:
     report.record("Delta(delta_a . delta_b) = Delta(delta_a) . Delta(delta_b)", ok, wit)
 
     ok, wit = True, None
-    for a in basis(X, grade_bound):
-        for b in basis(X, grade_bound):
+    for a in elems:
+        for b in elems:
             if a.grade + b.grade > grade_bound:
                 continue
             if eps[prod_key[(a.key, b.key)]] != eps[a.key] * eps[b.key]:

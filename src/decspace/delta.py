@@ -123,15 +123,13 @@ class DeltaSquare:
     """Commuting square in the simplex category.
 
     ``top: A -> B``, ``left: A -> C``, ``right: B -> D``, ``bottom: C -> D``
-    with right . top == bottom . left.  ``tags`` records active/inert roles
-    per side, ``desc`` is a human-readable label.
+    with right . top == bottom . left; ``desc`` is a human-readable label.
     """
 
     top: DeltaMap
     left: DeltaMap
     right: DeltaMap
     bottom: DeltaMap
-    tags: tuple[str, str, str, str] = ("", "", "", "")
     desc: str = ""
 
     def __post_init__(self):
@@ -169,7 +167,6 @@ def pushout_active_inert(g: DeltaMap, i: DeltaMap) -> DeltaSquare:
         left=g,
         right=g_ext,
         bottom=i_ext,
-        tags=("inert", "active", "active", "inert"),
         desc=f"pushout of {g} along {i}",
     )
 
@@ -249,7 +246,6 @@ def segal_axiom_squares(n_max: int) -> list[DeltaSquare]:
                 left=coface(0, n),
                 right=coface(0, n + 1),
                 bottom=coface(n + 1, n + 1),
-                tags=("", "", "", ""),
                 desc=f"Segal square at n={n}",
             )
         )

@@ -28,7 +28,6 @@ class CheckReport:
     level: int
     grade_bound: int
     squares: list[SquareRecord] = field(default_factory=list)
-    note: str = ""
 
     @property
     def passed(self) -> bool:

@@ -11,7 +11,7 @@ and decided by the fibrewise pullback test in :mod:`decspace.groupoids`.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 from . import delta
@@ -44,6 +44,10 @@ class TruncSimpGrpd:
     Optional monoidal data: ``mu``, the (omap, amap) pair of the monoidal
     functor X_n x X_n -> X_n (the same at every level), and the key of the
     unit basis element.  ``monoidal`` builds the SimpMap from ``mu``.
+
+    ``verdicts`` memoizes square verdicts of this space by
+    ``(DeltaSquare, glue bound)``.  It is not an init field, so every new
+    space (``replace``, ``truncate``, ``dec``, a corruption) starts empty.
     """
 
     name: str
@@ -55,6 +59,7 @@ class TruncSimpGrpd:
     key_renderer: object = None
     mu: object = None
     unit_key: object = None
+    verdicts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @cached_property
     def monoidal(self) -> SimpMap | None:
@@ -305,24 +310,26 @@ def _square_desc(X: TruncSimpGrpd, dsq: DeltaSquare) -> str:
     )
 
 
-def _record_square(
-    report: CheckReport, desc: str, sq: GroupoidSquare, glue_bound: int | None = None
-) -> None:
-    """Record the pullback verdict of ``sq``; a square that does not commute
-    is recorded as a failure, not raised."""
+def _square_verdict(sq: GroupoidSquare, glue_bound: int | None = None) -> tuple[bool, str | None]:
+    """The pullback verdict of ``sq``; a square that does not commute is a
+    failure with a witness, not an exception."""
     try:
-        ok, wit = is_pullback_square(sq, glue_bound=glue_bound)
+        return is_pullback_square(sq, glue_bound=glue_bound)
     except NonCommutingSquare as exc:
-        ok, wit = False, f"square does not commute: {exc}"
-    report.record(desc, ok, wit)
+        return False, f"square does not commute: {exc}"
 
 
 def _run_squares(
     X: TruncSimpGrpd, check: str, squares: list[DeltaSquare], glue_bound: int | None = None
 ) -> CheckReport:
+    """Record the verdict of each square on X, deciding each
+    ``(square, glue bound)`` at most once per space (see ``X.verdicts``)."""
     report = CheckReport(check, X.name, X.N, X.grade_bound)
     for dsq in squares:
-        _record_square(report, _square_desc(X, dsq), _instantiate(X, dsq), glue_bound)
+        key = (dsq, glue_bound)
+        if key not in X.verdicts:
+            X.verdicts[key] = _square_verdict(_instantiate(X, dsq), glue_bound)
+        report.record(_square_desc(X, dsq), *X.verdicts[key])
     return report
 
 
@@ -500,7 +507,7 @@ def check_cartesian(F: SimpMap, maps: list[DeltaMap]) -> CheckReport:
             bottom=F.component(dm.dom),
             desc=desc,
         )
-        _record_square(report, desc, sq)
+        report.record(desc, *_square_verdict(sq))
     return report
 
 
@@ -511,25 +518,11 @@ def _unique_active(n: int) -> DeltaMap:
 
 
 def check_culf(F: SimpMap) -> CheckReport:
-    """Cartesian on all active maps.
-
-    When both source and target pass the decomposition check, the single
-    naturality square on the active map [1] -> [2] suffices and the shortcut
-    is recorded; otherwise every active map [1] -> [n] in the truncation is
-    checked.
-    """
-    X, Y = F.source, F.target
-    fast = False
-    if X.N >= 2:
-        fast = check_decomposition(X).passed and check_decomposition(Y).passed
-    if fast:
-        report = check_cartesian(F, [delta.coface(1, 2)])
-        report.check = f"culf[{F.name}]"
-        report.note = "shortcut: both sides pass decomposition; only the [1]->[2] square checked"
-        return report
-    report = check_cartesian(F, [_unique_active(n) for n in range(X.N + 1)])
+    """Cartesian on all active maps: the naturality square of F on the
+    unique active map [1] -> [n] is a pullback for every n in the
+    truncation."""
+    report = check_cartesian(F, [_unique_active(n) for n in range(F.source.N + 1)])
     report.check = f"culf[{F.name}]"
-    report.note = "full path: all active maps [1]->[n] within truncation"
     return report
 
 
@@ -609,7 +602,7 @@ def check_relatively_segal(F: SimpMap) -> CheckReport:
             bottom=segal_comparison(Y, n, WY),
             desc=desc,
         )
-        _record_square(report, desc, sq)
+        report.record(desc, *_square_verdict(sq))
     return report
 
 
@@ -718,7 +711,7 @@ def check_extra_pullbacks(X: TruncSimpGrpd) -> CheckReport:
 
     def run(desc, top, left, right, bottom):
         sq = GroupoidSquare(top=top, left=left, right=right, bottom=bottom, desc=desc)
-        _record_square(report, desc, sq)
+        report.record(desc, *_square_verdict(sq))
 
     for n in range(X.N - 1):
         # s_i against d_j, first index regime i < j

@@ -1,0 +1,44 @@
+"""Sub-space negative controls.
+
+``without_class(X, n, key)`` deletes one iso class of n-simplices together
+with every simplex that has a member of it as an iterated face.  For a class
+of non-degenerate simplices the rest is closed under faces and degeneracies,
+so every square of the result still commutes, and a checker can only reject
+it inside the fibre comparison.
+"""
+
+from decspace.groupoids import FiniteGroupoid, iso_classes
+from decspace.simplicial import simplicial_space
+
+
+def without_class(X, n, key):
+    """X with the iso class ``key`` of X_n deleted, and every simplex above
+    it: a simplex of X_m (m > n) goes when one of its faces has gone.  The
+    levels are full subgroupoids; faces and degeneracies keep X's rules."""
+    dropped = next(c for c in iso_classes(X.level(n)) if c.key == key)
+    gone = set(dropped.members)
+    levels = list(X.levels)
+    for m in range(n, X.N + 1):
+        L = X.level(m)
+        if m > n:
+            faces = [X.face(m, i) for i in range(m + 1)]
+            gone = {x for x in L.objects if any(d.obj(x) in gone for d in faces)}
+        levels[m] = FiniteGroupoid(
+            f"{L.name}-{key}",
+            [x for x in L.objects if x not in gone],
+            L.hom,
+            L.compose,
+            L.inverse,
+            L.identity,
+            grade=L.grade,
+            canon_key=L.canon_key,
+            bucket_key=L.bucket_key,
+        )
+    return simplicial_space(
+        f"{X.name}-{key}@{n}",
+        levels,
+        lambda m, i: (X.face(m, i).obj, X.face(m, i).arr),
+        lambda m, i: (X.degeneracy(m, i).obj, X.degeneracy(m, i).arr),
+        X.grade_bound,
+        key_renderer=X.key_renderer,
+    )

@@ -13,7 +13,6 @@ from itertools import product as iproduct
 
 from decspace.gallery.forests import _forest_canon
 from decspace.gallery.graphs import _graph_canon
-from decspace.linalg_fq import image_key, injective_matrices
 
 
 def forest_cut_oracle(parents):
@@ -66,11 +65,19 @@ def _induced_graph(edges, keep):
 
 
 def subspace_count_oracle(n, k, q):
-    """Number of k-dimensional subspaces of F_q^n by enumerating images of
-    injective matrices."""
-    if k == 0:
-        return 1
-    return len({image_key(a, q) for a in injective_matrices(n, k, q)})
+    """Number of k-dimensional subspaces of F_q^n (q prime), by closing every
+    k-tuple of vectors under addition and scalar multiples and counting the
+    distinct spans with q^k elements."""
+    vectors = list(iproduct(range(q), repeat=n))
+
+    def span(gens):
+        out = {(0,) * n}
+        for v in gens:
+            out = {tuple((s + c * x) % q for s, x in zip(w, v)) for w in out for c in range(q)}
+        return frozenset(out)
+
+    spans = {span(gens) for gens in iproduct(vectors, repeat=k)}
+    return sum(1 for S in spans if len(S) == q**k)
 
 
 def binomial_coefficient(n, a):

@@ -271,6 +271,13 @@ def test_hall_numbers():
         hall_number(5, 2, 1)
 
 
+def test_subspace_count_oracle():
+    # Gaussian binomials [n choose k]_q for n <= 3, k = 0..n, in that order
+    counts = {2: [1, 1, 1, 1, 3, 1, 1, 7, 7, 1], 3: [1, 1, 1, 1, 4, 1, 1, 13, 13, 1]}
+    for q, expected in counts.items():
+        assert [subspace_count_oracle(n, k, q) for n in range(4) for k in range(n + 1)] == expected
+
+
 def test_hall_matches_machinery_coefficient(vect22):
     mat = comultiplication(vect22, 2)
     two = next(e.key for e in basis(vect22, 2) if e.grade == 2)

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -39,6 +40,8 @@ from decspace.simplicial import (
     terminal_space,
     validate_simplicial,
 )
+
+from controls import without_class
 
 
 def test_validate_families(binomial3, forests3, graphs3, vect22, chain_nerve):
@@ -328,3 +331,70 @@ def test_culf_pullback_transfer(binomial3):
     rep = check_culf(mu)
     assert rep.passed
     assert check_decomposition(mu.source).passed
+
+
+def _run_every_square_check(X):
+    return [check_decomposition(X), check_decalage(X), check_extra_pullbacks(X)]
+
+
+@pytest.mark.parametrize("n, key", [(2, (2, 1)), (2, (1, 2)), (3, (1, 1, 1))])
+def test_subspace_controls_fail_inside_the_fibre(binomial3, n, key):
+    # every square of the sub-space commutes, so the only way to reject it is
+    # a fibre comparison that misses a class
+    _run_every_square_check(binomial3)
+    Y = without_class(binomial3, n, key)
+    assert validate_simplicial(Y).passed
+    failure = check_decomposition(Y).first_failure()
+    assert failure is not None
+    assert "fibre over" in failure.witness and "not reached" in failure.witness
+    assert not check_decomposition_active(Y).passed
+    rep = check_decalage(Y)
+    assert [r.passed for r in rep.squares[:4]] == [False] * 4
+    assert rep.squares[4].passed  # agreement
+
+
+def test_subspace_positive_control(binomial3):
+    _run_every_square_check(binomial3)
+    Y = without_class(binomial3, 2, (1, 1))
+    assert validate_simplicial(Y).passed
+    assert check_decomposition(Y).passed
+    assert not check_segal(Y).passed
+    assert all(r.passed for r in check_decalage(Y).squares)
+
+
+def test_each_square_decided_once_per_space(monkeypatch):
+    import decspace.simplicial as simplicial
+
+    decided = Counter()
+    real = simplicial.is_pullback_square
+
+    def counting(sq, glue_bound=None):
+        decided[sq.desc] += 1
+        return real(sq, glue_bound=glue_bound)
+
+    monkeypatch.setattr(simplicial, "is_pullback_square", counting)
+    X = binomial_B(3, 3)
+    first = _run_every_square_check(X)
+    pushouts = {dsq.desc for dsq in delta.decomposition_axiom_squares(X.N)}
+    assert {d for d in decided if d.startswith("pushout of")} == pushouts
+    assert all(decided[d] == 1 for d in pushouts)
+    # the whole memo is keyed by (square, glue bound): Segal squares are
+    # decided at the space's grade bound, pushout squares without one
+    assert len(X.verdicts) == len(pushouts)
+    check_segal(X)
+    assert len(X.verdicts) == len(pushouts) + len(delta.segal_axiom_squares(X.N))
+
+    decided.clear()
+    assert check_decomposition(X) == first[0]
+    assert check_segal(X).passed
+    assert not decided
+
+
+def test_new_spaces_start_with_an_empty_memo(binomial3):
+    assert check_decomposition(binomial3).passed
+    assert binomial3.verdicts
+    Xc, _ = corrupted_variant(binomial3, 0)
+    Xr = replace(binomial3, faces=Xc.faces)
+    for Y in (Xc, Xr):
+        assert Y.verdicts == {}
+        assert not check_decomposition(Y).passed
