@@ -26,6 +26,7 @@ from .groupoids import (
     groupoid_cardinality,
     homotopy_fibre,
     iso_classes,
+    preimage_buckets,
 )
 from .linalg_fq import (
     all_matrices,
@@ -178,11 +179,7 @@ def delta_n(X: TruncSimpGrpd, n: int, grade_bound: int) -> SparseMat:
     active = delta.DeltaMap(1, n, (0, n)) if n >= 1 else delta.DeltaMap(1, 0, (0, 0))
     collapse = evaluate(X, active)
     edges = [evaluate(X, delta.DeltaMap(1, n, (i - 1, i))) for i in range(1, n + 1)]
-    Xn = X.level(n)
-    X1 = X.level(1)
-    buckets: dict = {}
-    for y in Xn.objects:
-        buckets.setdefault(X1.canon_key(collapse.obj(y)), []).append(y)
+    buckets = preimage_buckets(collapse)  # X_1 has canon keys: keyed like the basis
     mat = SparseMat()
     for f in basis(X, grade_bound):
         fib = homotopy_fibre(collapse, f.rep, candidates=buckets.get(f.key, ()))

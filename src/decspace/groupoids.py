@@ -62,7 +62,7 @@ class FiniteGroupoid:
     ):
         self.name = name
         self.objects = tuple(objects)
-        self._object_set = set(self.objects)
+        self._object_set = {x: x for x in self.objects}
         self.hom = hom
         self.compose = compose
         self.inverse = inverse
@@ -687,6 +687,17 @@ def is_pullback_square(
     return _is_pullback_fibrewise(sq, glue_bound)
 
 
+def preimage_buckets(F: GroupoidFunctor) -> dict:
+    """Source objects of F grouped by the target bucket key of their image,
+    each group in object order.  Bucket keys are iso-invariant, so the fibre
+    of F over s only has objects from the group at ``bucket_key(s)``."""
+    B = F.target
+    buckets: dict = {}
+    for x in F.source.objects:
+        buckets.setdefault(B.bucket_key(F.obj(x)), []).append(x)
+    return buckets
+
+
 def fibrewise_equivalence(
     left: GroupoidFunctor, compare: Callable
 ) -> tuple[bool, str | None]:
@@ -697,10 +708,8 @@ def fibrewise_equivalence(
     functor out of it; the verdict holds when every such functor is an
     equivalence.  Returns the first failure as "fibre over xbar: witness".
     """
-    A, X = left.source, left.target
-    buckets: dict = {}
-    for a in A.objects:
-        buckets.setdefault(X.bucket_key(left.obj(a)), []).append(a)
+    X = left.target
+    buckets = preimage_buckets(left)
     for cls in iso_classes(X):
         xbar = cls.rep
         fib = homotopy_fibre(left, xbar, candidates=buckets.get(X.bucket_key(xbar), ()))
@@ -713,13 +722,8 @@ def fibrewise_equivalence(
 def _is_pullback_fibrewise(sq: GroupoidSquare, glue_bound: int | None) -> tuple[bool, str | None]:
     X = sq.left.target
     Y = sq.top.target
-
-    # group Y-objects by where `right` sends them, keyed on the S bucket,
-    # so each fibre enumeration only scans plausible candidates
     S = sq.right.target
-    y_by_target: dict = {}
-    for y in Y.objects:
-        y_by_target.setdefault(S.bucket_key(sq.right.obj(y)), []).append(y)
+    y_by_target = preimage_buckets(sq.right)
 
     def compare(xbar, fib_a):
         s_obj = sq.bottom.obj(xbar)

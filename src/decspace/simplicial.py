@@ -29,6 +29,7 @@ from .groupoids import (
     identity_functor,
     is_equivalence,
     is_pullback_square,
+    preimage_buckets,
     product_list,
     terminal_groupoid,
 )
@@ -46,8 +47,9 @@ class TruncSimpGrpd:
     unit basis element.  ``monoidal`` builds the SimpMap from ``mu``.
 
     ``verdicts`` memoizes square verdicts of this space by
-    ``(DeltaSquare, glue bound)``.  It is not an init field, so every new
-    space (``replace``, ``truncate``, ``dec``, a corruption) starts empty.
+    ``(DeltaSquare, glue bound)``, and ``decs`` the ``dec`` result per side.
+    Neither is an init field, so every new space (``replace``, ``truncate``,
+    ``dec``, a corruption) starts empty.
     """
 
     name: str
@@ -60,6 +62,7 @@ class TruncSimpGrpd:
     mu: object = None
     unit_key: object = None
     verdicts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    decs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @cached_property
     def monoidal(self) -> SimpMap | None:
@@ -137,19 +140,38 @@ def identity_simp_map(X: TruncSimpGrpd) -> SimpMap:
     return SimpMap("id", X, X, tuple(identity_functor(L) for L in X.levels))
 
 
+def _tabulated(source, target, omap, amap, name) -> GroupoidFunctor:
+    """The functor with object rule ``omap`` evaluated at most once per
+    object: the table fills on first use and keeps each image as the target's
+    own object, so images share their payloads with the target level."""
+    table: dict = {}
+    own = target._object_set.get
+
+    def obj(x):
+        try:
+            return table[x]
+        except KeyError:
+            y = omap(x)
+            y = table[x] = own(y, y)
+            return y
+
+    return GroupoidFunctor(source, target, obj, amap, name=name)
+
+
 def simplicial_space(name, levels, face, degen, grade_bound, key_renderer=None) -> TruncSimpGrpd:
     """The space with the given levels X_0..X_N whose face d_i: X_n -> X_{n-1}
     and degeneracy s_i: X_n -> X_{n+1} have the (omap, amap) pairs
-    ``face(n, i)`` and ``degen(n, i)``; each rule is called once per pair."""
+    ``face(n, i)`` and ``degen(n, i)``; each rule is called once per pair,
+    and each object rule at most once per object (see ``_tabulated``)."""
     levels = tuple(levels)
     N = len(levels) - 1
     faces = {
-        (n, i): GroupoidFunctor(levels[n], levels[n - 1], *face(n, i), name=f"d_{i}")
+        (n, i): _tabulated(levels[n], levels[n - 1], *face(n, i), name=f"d_{i}")
         for n in range(1, N + 1)
         for i in range(n + 1)
     }
     degens = {
-        (n, i): GroupoidFunctor(levels[n], levels[n + 1], *degen(n, i), name=f"s_{i}")
+        (n, i): _tabulated(levels[n], levels[n + 1], *degen(n, i), name=f"s_{i}")
         for n in range(N)
         for i in range(n + 1)
     }
@@ -266,21 +288,31 @@ def validate_simplicial(X: TruncSimpGrpd) -> CheckReport:
 def evaluate(X: TruncSimpGrpd, f: DeltaMap) -> GroupoidFunctor:
     """The contravariant action X(f): X_cod -> X_dom for any monotone map.
 
-    Composes the generator images; strictness makes the result independent of
-    the chosen decomposition.
+    Applies the generator images in turn, in one functor; strictness makes
+    the result independent of the chosen decomposition.
     """
     if f.dom > X.N or f.cod > X.N:
         raise LevelOutOfRange(f"{f} does not fit in truncation 0..{X.N}")
-    out = identity_functor(X.level(f.cod))
+    gens = []
     for gen in reversed(delta.generator_decomposition(f)):
         if gen.cod == gen.dom + 1:      # coface d^i at [gen.cod]
             missing = next(v for v in range(gen.cod + 1) if v not in set(gen.images))
-            out = compose_functors(X.face(gen.cod, missing), out)
+            gens.append(X.face(gen.cod, missing))
         else:                           # codegeneracy s^j onto [gen.cod]
             rep = next(j for j in range(gen.dom) if gen(j) == gen(j + 1))
-            out = compose_functors(X.degeneracy(gen.cod, rep), out)
-    out.name = f"X({f})"
-    return out
+            gens.append(X.degeneracy(gen.cod, rep))
+
+    def omap(x):
+        for G in gens:
+            x = G.obj(x)
+        return x
+
+    def amap(x, y, d):
+        for G in gens:
+            x, y, d = G.obj(x), G.obj(y), G.arr(x, y, d)
+        return d
+
+    return GroupoidFunctor(X.level(f.cod), X.level(f.dom), omap, amap, name=f"X({f})")
 
 
 # ---------------------------------------------------------------------------
@@ -461,6 +493,7 @@ def check_decomposition_active(X: TruncSimpGrpd) -> CheckReport:
     if X.N < 1:
         raise LevelOutOfRange("need at least one level")
     report = CheckReport("decomposition-active", X.name, X.N, X.grade_bound)
+    X1 = X.level(1)
     for data in delta.active_map_squares(X.N):
         g = data.g
         n, m = g.dom, g.cod
@@ -469,11 +502,14 @@ def check_decomposition_active(X: TruncSimpGrpd) -> CheckReport:
         windows = [evaluate(X, w) for w in data.windows]
         edges = [evaluate(X, e) for e in data.edges]
         splits = [evaluate(X, s) for s in data.splits]
+        split_buckets = [preimage_buckets(s) for s in splits]
 
         def compare(xbar, fib_a):
-            comp_fibs = [
-                homotopy_fibre(splits[i], edges[i].obj(xbar)) for i in range(n)
-            ]
+            comp_fibs = []
+            for split, buckets, edge in zip(splits, split_buckets, edges):
+                e = edge.obj(xbar)
+                pool = buckets.get(X1.bucket_key(e), ())
+                comp_fibs.append(homotopy_fibre(split, e, candidates=pool))
             fib_y = product_list(comp_fibs, name="prod-fibre")
 
             def omap(o):
@@ -628,12 +664,15 @@ def dec(X: TruncSimpGrpd, side: str = "bottom") -> tuple[TruncSimpGrpd, SimpMap]
     """Decalage: delete X_0 and shift everything one place down.
 
     For the bottom flavour the deleted bottom face maps become the dec map
-    back to X; for the top flavour the deleted top face maps do.
+    back to X; for the top flavour the deleted top face maps do.  Built once
+    per side and kept in ``X.decs``, with the decalage's own verdict memo.
     """
     if X.N < 1:
         raise LevelOutOfRange("decalage needs at least one level")
     if side not in ("bottom", "top"):
         raise ValueError("side must be 'bottom' or 'top'")
+    if side in X.decs:
+        return X.decs[side]
     M = X.N - 1
     levels = X.levels[1:]
     s = 1 if side == "bottom" else 0  # index shift of the kept structure maps
@@ -643,8 +682,8 @@ def dec(X: TruncSimpGrpd, side: str = "bottom") -> tuple[TruncSimpGrpd, SimpMap]
     name = f"DecBot({X.name})" if s else f"DecTop({X.name})"
     Y = TruncSimpGrpd(name, M, levels, faces, degens, X.grade_bound,
                       key_renderer=X.key_renderer)
-    dec_map = SimpMap(f"dec-{side}[{X.name}]", Y, truncate(X, M), comps)
-    return Y, dec_map
+    X.decs[side] = Y, SimpMap(f"dec-{side}[{X.name}]", Y, truncate(X, M), comps)
+    return X.decs[side]
 
 
 def dec_of_map(F: SimpMap, side: str = "bottom") -> SimpMap:

@@ -1,18 +1,20 @@
 """Independent brute-force oracles for the coalgebra tables and for
-equivalence testing.
+equivalence testing, and a reference route for ``evaluate``.
 
-Each oracle enumerates the combinatorics directly on one concrete
-representative (cuts of a forest, ordered vertex bipartitions of a graph,
-subspaces of F_q^n, every hom-set of a functor) and never touches the
-simplicial machinery or the class bookkeeping it is used to check.
+Each table and equivalence oracle enumerates the combinatorics directly on
+one concrete representative (cuts of a forest, ordered vertex bipartitions
+of a graph, subspaces of F_q^n, every hom-set of a functor) and never touches
+the simplicial machinery or the class bookkeeping it is used to check.
 """
 
 from collections import Counter
 from fractions import Fraction
 from itertools import product as iproduct
 
+from decspace import delta
 from decspace.gallery.forests import _forest_canon
 from decspace.gallery.graphs import _graph_canon
+from decspace.groupoids import compose_functors, identity_functor
 
 
 def forest_cut_oracle(parents):
@@ -105,3 +107,18 @@ def equivalence_oracle(F):
             if len(img) != len(src) or img != tgt:
                 return False
     return True
+
+
+def evaluate_by_composition(X, f):
+    """X(f) as a chain of ``compose_functors`` over the generator images of
+    f, starting from the identity functor of X_cod.  ``evaluate`` applies the
+    same generators inside one functor; the two must agree."""
+    out = identity_functor(X.level(f.cod))
+    for gen in reversed(delta.generator_decomposition(f)):
+        if gen.cod == gen.dom + 1:
+            missing = next(v for v in range(gen.cod + 1) if v not in gen.images)
+            out = compose_functors(X.face(gen.cod, missing), out)
+        else:
+            rep = next(j for j in range(gen.dom) if gen(j) == gen(j + 1))
+            out = compose_functors(X.degeneracy(gen.cod, rep), out)
+    return out

@@ -55,6 +55,8 @@ def test_check_json_deterministic(capsys):
         ("coproduct_forests_nodes3.csv", "coproduct forests --nodes 3 --format csv"),
         ("check_injections_all_max3.json", "check injections all --max 3 --format json"),
         ("check_forests_all_nodes3.txt", "check forests all --nodes 3 --format text"),
+        ("check_graphs_all.json", "check graphs all --format json"),
+        ("check_vect_all.txt", "check vect all --format text"),
     ],
 )
 def test_output_matches_golden(capsys, golden, argv):

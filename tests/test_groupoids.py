@@ -20,6 +20,7 @@ from decspace.groupoids import (
     is_pullback_square,
     iso_classes,
     name_functor,
+    preimage_buckets,
     product,
     terminal_groupoid,
     validate_groupoid,
@@ -226,7 +227,8 @@ def test_is_equivalence_z2_to_point_fails():
 def cyclic_action(name, n, moduli):
     """Action groupoid of Z_n on a disjoint union of orbits Z_n / d Z_n, one
     per modulus d (each d divides n): objects (orbit, residue), arrows the
-    group elements g with residue + g = residue' mod d."""
+    group elements g with residue + g = residue' mod d.  The orbit index is
+    an iso-invariant bucket key."""
     return FiniteGroupoid(
         name,
         tuple((i, r) for i, d in enumerate(moduli) for r in range(d)),
@@ -236,6 +238,7 @@ def cyclic_action(name, n, moduli):
         lambda g, f: (g + f) % n,
         lambda g: (-g) % n,
         lambda x: 0,
+        bucket_key=lambda x: x[0],
     )
 
 
@@ -268,6 +271,20 @@ def cyclic_action_functors(draw):
 @settings(max_examples=200, deadline=None)
 def test_is_equivalence_matches_hom_set_oracle(F):
     assert is_equivalence(F)[0] == equivalence_oracle(F)
+
+
+@given(cyclic_action_functors())
+@settings(max_examples=100, deadline=None)
+def test_preimage_buckets_index_every_fibre(F):
+    A, B = F.source, F.target
+    buckets = preimage_buckets(F)
+    keys = {B.bucket_key(F.obj(x)) for x in A.objects}
+    assert set(buckets) == keys
+    for key, xs in buckets.items():
+        assert xs == [x for x in A.objects if B.bucket_key(F.obj(x)) == key]
+    for s in B.objects:
+        pool = buckets.get(B.bucket_key(s), ())
+        assert homotopy_fibre(F, s, candidates=pool).objects == homotopy_fibre(F, s).objects
 
 
 def _square(top, left, right, bottom, desc=""):

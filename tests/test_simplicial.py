@@ -14,7 +14,8 @@ from decspace.gallery import (
     oi_to_i,
     vect_S,
 )
-from decspace.groupoids import GroupoidFunctor, is_equivalence
+from decspace.gallery.sets import _b_level, layered_rules
+from decspace.groupoids import GroupoidFunctor, functors_equal, is_equivalence
 from decspace.simplicial import (
     SimpMap,
     check_cartesian,
@@ -37,11 +38,13 @@ from decspace.simplicial import (
     identity_simp_map,
     product_simplicial,
     segal_power,
+    simplicial_space,
     terminal_space,
     validate_simplicial,
 )
 
 from controls import without_class
+from oracles import evaluate_by_composition
 
 
 def test_validate_families(binomial3, forests3, graphs3, vect22, chain_nerve):
@@ -117,6 +120,57 @@ def test_evaluate_decomposition_independent(binomial3, forests3):
                 assert lhs.arr(s, t, d) == rhs_inner.arr(
                     rhs_outer.obj(s), rhs_outer.obj(t), rhs_outer.arr(s, t, d)
                 )
+
+
+@pytest.mark.parametrize(
+    "build", [lambda: binomial_B(3, 3), lambda: forests_H(3, 3), lambda: graphs_G(2, 3)],
+    ids=["binomial_B(3,3)", "forests_H(3,3)", "graphs_G(2,3)"],
+)
+def test_evaluate_matches_composition_of_generators(build):
+    X = build()
+    for a in range(X.N + 1):
+        for b in range(X.N + 1):
+            for f in delta.all_maps(a, b):
+                assert functors_equal(evaluate(X, f), evaluate_by_composition(X, f)) is None, f
+
+
+def _counting_binomial():
+    """binomial_B(3, 3) built through simplicial_space with object rules that
+    count their calls per (structure map, object)."""
+    calls = Counter()
+
+    def counting(kind, rule):
+        def counted_rule(n, i):
+            omap, amap = rule(n, i)
+
+            def counted(x):
+                calls[(kind, n, i, x)] += 1
+                return omap(x)
+
+            return counted, amap
+
+        return counted_rule
+
+    face, degen = layered_rules(lambda obj, keep: ())
+    levels = [_b_level(k, 3) for k in range(4)]
+    return simplicial_space("binomial", levels, counting("d", face), counting("s", degen), 3), calls
+
+
+def test_object_rules_run_once_per_structure_map_and_object():
+    X, calls = _counting_binomial()
+    assert not calls  # building the space evaluates no rule
+    assert check_decomposition(X).passed
+    assert check_segal(X).passed
+    assert check_decomposition_active(X).passed
+    assert calls
+    assert max(calls.values()) == 1
+
+
+def test_structure_maps_return_the_target_levels_own_objects():
+    X, _ = _counting_binomial()
+    for F in (*X.faces.values(), *X.degens.values()):
+        own = {id(y) for y in F.target.objects}
+        assert all(id(F.obj(x)) in own for x in F.source.objects)
 
 
 def test_segal_verdicts(binomial3, forests3, graphs3, vect22, chain_nerve, injections3):
@@ -362,17 +416,23 @@ def test_subspace_positive_control(binomial3):
     assert all(r.passed for r in check_decalage(Y).squares)
 
 
-def test_each_square_decided_once_per_space(monkeypatch):
+@pytest.fixture
+def decided(monkeypatch):
+    """Counts the is_pullback_square calls of the checkers per square desc."""
     import decspace.simplicial as simplicial
 
-    decided = Counter()
+    counts = Counter()
     real = simplicial.is_pullback_square
 
     def counting(sq, glue_bound=None):
-        decided[sq.desc] += 1
+        counts[sq.desc] += 1
         return real(sq, glue_bound=glue_bound)
 
     monkeypatch.setattr(simplicial, "is_pullback_square", counting)
+    return counts
+
+
+def test_each_square_decided_once_per_space(decided):
     X = binomial_B(3, 3)
     first = _run_every_square_check(X)
     pushouts = {dsq.desc for dsq in delta.decomposition_axiom_squares(X.N)}
@@ -390,11 +450,27 @@ def test_each_square_decided_once_per_space(monkeypatch):
     assert not decided
 
 
+def test_second_decalage_check_decides_no_segal_square_again(decided):
+    X = binomial_B(3, 3)
+    first = check_decalage(X)
+    segal = {dsq.desc for dsq in delta.segal_axiom_squares(X.N - 1)}
+    assert all(decided[d] == 2 for d in segal)  # once on each decalage
+    assert dec(X, "bottom") is dec(X, "bottom")
+
+    decided.clear()
+    assert check_decalage(X) == first
+    assert not segal & set(decided)
+    # the CULF and conservative squares of the dec maps stay outside the memo
+    assert any(d.startswith("naturality of") for d in decided)
+
+
 def test_new_spaces_start_with_an_empty_memo(binomial3):
     assert check_decomposition(binomial3).passed
     assert binomial3.verdicts
+    dec(binomial3, "top")
     Xc, _ = corrupted_variant(binomial3, 0)
     Xr = replace(binomial3, faces=Xc.faces)
     for Y in (Xc, Xr):
         assert Y.verdicts == {}
+        assert Y.decs == {}
         assert not check_decomposition(Y).passed
