@@ -691,10 +691,9 @@ def preimage_buckets(F: GroupoidFunctor) -> dict:
     """Source objects of F grouped by the target bucket key of their image,
     each group in object order.  Bucket keys are iso-invariant, so the fibre
     of F over s only has objects from the group at ``bucket_key(s)``."""
-    B = F.target
     buckets: dict = {}
     for x in F.source.objects:
-        buckets.setdefault(B.bucket_key(F.obj(x)), []).append(x)
+        buckets.setdefault(F.target.bucket_key(F.obj(x)), []).append(x)
     return buckets
 
 

@@ -145,14 +145,13 @@ def _tabulated(source, target, omap, amap, name) -> GroupoidFunctor:
     object: the table fills on first use and keeps each image as the target's
     own object, so images share their payloads with the target level."""
     table: dict = {}
-    own = target._object_set.get
 
     def obj(x):
         try:
             return table[x]
         except KeyError:
             y = omap(x)
-            y = table[x] = own(y, y)
+            y = table[x] = target._object_set.get(y, y)
             return y
 
     return GroupoidFunctor(source, target, obj, amap, name=name)
@@ -493,7 +492,7 @@ def check_decomposition_active(X: TruncSimpGrpd) -> CheckReport:
     if X.N < 1:
         raise LevelOutOfRange("need at least one level")
     report = CheckReport("decomposition-active", X.name, X.N, X.grade_bound)
-    X1 = X.level(1)
+    split_index: dict = {}  # split map s: [1] -> [m_i]  ->  (X(s), its preimage buckets)
     for data in delta.active_map_squares(X.N):
         g = data.g
         n, m = g.dom, g.cod
@@ -501,14 +500,16 @@ def check_decomposition_active(X: TruncSimpGrpd) -> CheckReport:
         left = evaluate(X, g)
         windows = [evaluate(X, w) for w in data.windows]
         edges = [evaluate(X, e) for e in data.edges]
-        splits = [evaluate(X, s) for s in data.splits]
-        split_buckets = [preimage_buckets(s) for s in splits]
+        for s in set(data.splits) - split_index.keys():
+            S = evaluate(X, s)
+            split_index[s] = S, preimage_buckets(S)
+        splits = [split_index[s] for s in data.splits]
 
         def compare(xbar, fib_a):
             comp_fibs = []
-            for split, buckets, edge in zip(splits, split_buckets, edges):
+            for (split, buckets), edge in zip(splits, edges):
                 e = edge.obj(xbar)
-                pool = buckets.get(X1.bucket_key(e), ())
+                pool = buckets.get(split.target.bucket_key(e), ())
                 comp_fibs.append(homotopy_fibre(split, e, candidates=pool))
             fib_y = product_list(comp_fibs, name="prod-fibre")
 

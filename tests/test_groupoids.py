@@ -224,11 +224,12 @@ def test_is_equivalence_z2_to_point_fails():
     assert "hom-set sizes differ" in wit
 
 
-def cyclic_action(name, n, moduli):
+def cyclic_action(name, n, moduli, keyed=False):
     """Action groupoid of Z_n on a disjoint union of orbits Z_n / d Z_n, one
     per modulus d (each d divides n): objects (orbit, residue), arrows the
-    group elements g with residue + g = residue' mod d.  The orbit index is
-    an iso-invariant bucket key."""
+    group elements g with residue + g = residue' mod d.  Unkeyed, every
+    object sits in one bucket, so iso classes are split by arrow search;
+    ``keyed`` makes the orbit index (iso-invariant) the bucket key."""
     return FiniteGroupoid(
         name,
         tuple((i, r) for i, d in enumerate(moduli) for r in range(d)),
@@ -238,12 +239,12 @@ def cyclic_action(name, n, moduli):
         lambda g, f: (g + f) % n,
         lambda g: (-g) % n,
         lambda x: 0,
-        bucket_key=lambda x: x[0],
+        bucket_key=(lambda x: x[0]) if keyed else None,
     )
 
 
 @st.composite
-def cyclic_action_functors(draw):
+def cyclic_action_functors(draw, keyed=False):
     """A functor between cyclic action groupoids: the group map g -> k g
     from Z_a to Z_b, and an equivariant map sending orbit i (modulus d) to
     orbit j (modulus e, which must divide k d) at offset s0."""
@@ -258,7 +259,7 @@ def cyclic_action_functors(draw):
         assume(js)
         j = draw(st.sampled_from(js))
         orbit_map.append((j, draw(st.integers(0, tgt[j] - 1))))
-    A, B = cyclic_action("A", a, src), cyclic_action("B", b, tgt)
+    A, B = cyclic_action("A", a, src, keyed), cyclic_action("B", b, tgt, keyed)
 
     def omap(x):
         j, s0 = orbit_map[x[0]]
@@ -273,7 +274,7 @@ def test_is_equivalence_matches_hom_set_oracle(F):
     assert is_equivalence(F)[0] == equivalence_oracle(F)
 
 
-@given(cyclic_action_functors())
+@given(cyclic_action_functors(keyed=True))
 @settings(max_examples=100, deadline=None)
 def test_preimage_buckets_index_every_fibre(F):
     A, B = F.source, F.target
