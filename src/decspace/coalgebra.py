@@ -435,9 +435,7 @@ def hall_number(q: int, n: int, k: int) -> HallResult:
     check_field(q)
     if not 0 <= k <= n <= 3:
         raise LevelOutOfRange("supported range is 0 <= k <= n <= 3")
-    if k == 0:
-        pairs = len(general_linear(n, q))
-    elif k == n:
+    if k in (0, n):
         pairs = len(general_linear(n, q))
     else:
         pairs = 0

@@ -3,13 +3,14 @@
 Level k is the groupoid of strings of k composable arrows, with commuting
 ladders of isomorphisms as morphisms.  Meant for small categories (groups,
 posets, handmade examples); the bigger families ship specialized strict
-skeleta instead.
+skeleta instead.  ``string_nerve`` builds every such nerve: the fat nerve
+here, the injection strings and the strings of injective linear maps.
 """
 
 from __future__ import annotations
 
 from ..errors import InvalidCategory
-from ..groupoids import FiniteGroupoid
+from ..groupoids import FiniteGroupoid, ladders
 from ..simplicial import TruncSimpGrpd, simplicial_space
 
 
@@ -18,9 +19,9 @@ def string_nerve_rules(compose, identity):
     (nodes, arrows) of n composable arrows, with ladders (one arrow per node)
     as morphisms.
 
-    d_0 and d_n drop an end; an inner d_i replaces arrows i-1 and i by
-    ``compose(x, i)``, their composite in the string x; s_i inserts
-    ``identity(node)`` after node i.  Ladders drop or duplicate entry i.
+    d_0 and d_n drop an end; an inner d_i replaces arrows i-1 and i by their
+    composite ``compose(g, f)`` (g after f); s_i inserts ``identity(node)``
+    after node i.  Ladders drop or duplicate entry i.
     """
 
     def face(n, i):
@@ -31,7 +32,7 @@ def string_nerve_rules(compose, identity):
         else:
             omap = lambda x: (
                 x[0][:i] + x[0][i + 1 :],
-                x[1][: i - 1] + (compose(x, i),) + x[1][i + 1 :],
+                x[1][: i - 1] + (compose(x[1][i], x[1][i - 1]),) + x[1][i + 1 :],
             )
         return omap, lambda x, y, d: d[:i] + d[i + 1 :]
 
@@ -42,6 +43,75 @@ def string_nerve_rules(compose, identity):
         )
 
     return face, degen
+
+
+def string_nerve(
+    name: str,
+    level_name: str,
+    starts,
+    out,
+    isos,
+    compose,
+    inverse,
+    identity,
+    N: int,
+    grade_bound: int = 0,
+    grade=None,
+    canon_key=None,
+    bucket_key=None,
+    key_renderer=None,
+) -> TruncSimpGrpd:
+    """The nerve of strings of composable arrows, truncated at level N.
+
+    Level k, named ``{level_name}_{k}``, holds the strings (nodes, arrows) of
+    k arrows that start at a node of ``starts`` and take each next step from
+    the (target, arrow) pairs ``out(node)``, in lexicographic order of those
+    choices.  A morphism is a ladder of isomorphisms ``isos(x, y)`` (a
+    sequence), one per node, whose squares commute under the arrow
+    composition ``compose(g, f)``; ladders compose, invert and start at
+    ``identity(node)`` entrywise.  Hom-sets are memoized per pair of strings
+    in a dict that lives and dies with the space.
+    """
+    homs: dict = {}
+
+    def hom(s, t):
+        try:
+            return homs[s, t]
+        except KeyError:
+            (xs, fs), (ys, gs) = s, t
+            found = homs[s, t] = ladders(
+                [isos(x, y) for x, y in zip(xs, ys)],
+                lambda j, a, b: compose(b, fs[j - 1]) == compose(gs[j - 1], a),
+            )
+            return found
+
+    strings = [((x,), ()) for x in starts]
+    levels = []
+    for k in range(N + 1):
+        if k:
+            strings = [
+                (xs + (y,), fs + (f,)) for xs, fs in strings for y, f in out(xs[-1])
+            ]
+        levels.append(
+            FiniteGroupoid(
+                f"{level_name}_{k}",
+                strings,
+                hom,
+                lambda g, f: tuple(map(compose, g, f)),
+                lambda d: tuple(map(inverse, d)),
+                lambda s: tuple(map(identity, s[0])),
+                grade=grade,
+                canon_key=canon_key,
+                bucket_key=bucket_key,
+            )
+        )
+    return simplicial_space(
+        name,
+        levels,
+        *string_nerve_rules(compose, identity),
+        grade_bound,
+        key_renderer=key_renderer,
+    )
 
 
 class FinCat:
@@ -157,55 +227,15 @@ def fat_nerve(cat: FinCat, N: int) -> TruncSimpGrpd:
             parent[find(x)] = find(y)
     obj_class = {x: find(x) for x in cat.objects}
 
-    def strings(k):
-        out = [((x,), ()) for x in cat.objects]
-        for _ in range(k):
-            out = [
-                (objs + (cat.target(f),), arrows + (f,))
-                for (objs, arrows) in out
-                for f in cat.arrows()
-                if cat.source(f) == objs[-1]
-            ]
-        return out
-
-    def hom(s, t):
-        (xs, fs), (ys, gs) = s, t
-        k = len(xs) - 1
-        results = []
-
-        def rec(j, phis):
-            if j > k:
-                results.append(tuple(phis))
-                return
-            for phi in iso_by_pair.get((xs[j], ys[j]), ()):
-                if j > 0:
-                    if cat.compose[(phi, fs[j - 1])] != cat.compose[(gs[j - 1], phis[-1])]:
-                        continue
-                rec(j + 1, phis + [phi])
-
-        rec(0, [])
-        return tuple(results)
-
-    levels = []
-    for k in range(N + 1):
-        levels.append(
-            FiniteGroupoid(
-                f"{cat.name}-nerve_{k}",
-                strings(k),
-                hom,
-                lambda g, f: tuple(cat.compose[(a, b)] for a, b in zip(g, f)),
-                lambda d: tuple(isos[a] for a in d),
-                lambda s: tuple(cat.identities[x] for x in s[0]),
-                grade=lambda s: 0,
-                bucket_key=lambda s: tuple(obj_class[x] for x in s[0]),
-            )
-        )
-
-    return simplicial_space(
+    return string_nerve(
         f"fatnerve({cat.name})",
-        levels,
-        *string_nerve_rules(
-            lambda s, i: cat.compose[(s[1][i], s[1][i - 1])], cat.identities.__getitem__
-        ),
-        0,
+        f"{cat.name}-nerve",
+        cat.objects,
+        lambda x: [(cat.target(f), f) for f in cat.arrows() if cat.source(f) == x],
+        lambda x, y: iso_by_pair.get((x, y), ()),
+        lambda g, f: cat.compose[(g, f)],
+        isos.__getitem__,
+        cat.identities.__getitem__,
+        N,
+        bucket_key=lambda s: tuple(obj_class[x] for x in s[0]),
     )

@@ -15,9 +15,9 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations, permutations, product as iproduct
 
-from ..groupoids import FiniteGroupoid, GroupoidFunctor
+from ..groupoids import FiniteGroupoid, GroupoidFunctor, discrete_groupoid
 from ..simplicial import SimpMap, TruncSimpGrpd, dec, simplicial_space
-from .fatnerve import string_nerve_rules
+from .fatnerve import string_nerve, string_nerve_rules
 
 
 def _perm_compose(g, f):
@@ -177,105 +177,30 @@ def binomial_B(max_size: int, N: int) -> TruncSimpGrpd:
 # strings of monotone injections
 
 
-@lru_cache(maxsize=None)
-def _string_isos(x, y):
-    """Commuting ladders of bijections between two injection strings."""
-    sa, fx = x
-    sb, fy = y
-    if sa != sb:
-        return ()
-    k = len(sa) - 1
-    results = []
-
-    def rec(j, phis):
-        if j > k:
-            results.append(tuple(phis))
-            return
-        a = sa[j]
-        if j == 0:
-            for p in permutations(range(a)):
-                rec(1, [p])
-            return
-        f, g = fx[j - 1], fy[j - 1]
-        prev = phis[-1]
-        det = {}
-        for e in range(sa[j - 1]):
-            det[f[e]] = g[prev[e]]
-        free_src = [v for v in range(a) if v not in det]
-        free_tgt = [v for v in range(a) if v not in set(det.values())]
-        for assignment in permutations(free_tgt):
-            phi = list(range(a))
-            for v, w in det.items():
-                phi[v] = w
-            for v, w in zip(free_src, assignment):
-                phi[v] = w
-            rec(j + 1, phis + [tuple(phi)])
-
-    rec(0, [])
-    return tuple(results)
-
-
-def _tuple_compose(g, f):
-    return tuple(_perm_compose(a, b) for a, b in zip(g, f))
-
-
-def _tuple_inverse(d):
-    return tuple(_perm_inverse(a) for a in d)
-
-
-def _i_level(k: int, bound: int) -> FiniteGroupoid:
-    objects = []
-
-    def rec(sizes, maps):
-        if len(sizes) == k + 1:
-            objects.append((tuple(sizes), tuple(maps)))
-            return
-        a = sizes[-1]
-        for b in range(a, bound + 1):
-            for img in combinations(range(b), a):
-                rec(sizes + [b], maps + [tuple(img)])
-
-    for a0 in range(bound + 1):
-        rec([a0], [])
-    return FiniteGroupoid(
-        f"I_{k}",
-        objects,
-        _string_isos,
-        _tuple_compose,
-        _tuple_inverse,
-        lambda x: tuple(tuple(range(a)) for a in x[0]),
+def _injection_strings(max_size: int, N: int) -> TruncSimpGrpd:
+    """Strings of monotone injections between the ordinals 0..max_size, an
+    injection a -> b stored as its image tuple, with ladders of bijections
+    (all commuting ones) as morphisms."""
+    perms = [tuple(permutations(range(a))) for a in range(max_size + 1)]
+    return string_nerve(
+        "injections",
+        "I",
+        range(max_size + 1),
+        lambda a: [(b, img) for b in range(a, max_size + 1) for img in combinations(range(b), a)],
+        lambda a, b: perms[a] if a == b else (),
+        _perm_compose,
+        _perm_inverse,
+        _ordinal,
+        N,
+        max_size,
         grade=lambda x: x[0][-1],
         canon_key=lambda x: x[0],
+        key_renderer=lambda key: f"{key[0]}->{key[1]}" if len(key) == 2 else str(key),
     )
 
 
-def _string_space(name: str, levels, bound: int) -> TruncSimpGrpd:
-    return simplicial_space(
-        name,
-        levels,
-        *string_nerve_rules(
-            lambda x, i: _perm_compose(x[1][i], x[1][i - 1]),
-            lambda a: tuple(range(a)),
-        ),
-        bound,
-        key_renderer=lambda key: (
-            f"{key[0]}->{key[1]}" if len(key) == 2 else str(key)
-        ),
-    )
-
-
-def _oi_level(k: int, bound: int) -> FiniteGroupoid:
-    base = _i_level(k, bound)
-    return FiniteGroupoid(
-        f"OI_{k}",
-        base.objects,
-        lambda x, y: ((),) if x == y else (),
-        lambda g, f: (),
-        lambda d: (),
-        lambda x: (),
-        grade=base.grade,
-        canon_key=lambda x: x,
-    )
+def _ordinal(a):
+    return tuple(range(a))
 
 
 def _i_union(pair):
@@ -306,7 +231,7 @@ def injections_I(max_size: int, N: int):
     levelwise equivalence from the bottom decalage of the binomial family,
     sending a layered set to its flag of layer-prefix subsets.
     """
-    I = _string_space("injections", (_i_level(k, max_size) for k in range(N + 1)), max_size)
+    I = _injection_strings(max_size, N)
     I.mu = (_i_union, _i_union_amap)
     I.unit_key = (0, 0)
     B_plus = binomial_B(max_size, N + 1)
@@ -352,8 +277,13 @@ def injections_I(max_size: int, N: int):
 def oi_space(max_size: int, N: int) -> TruncSimpGrpd:
     """Strings of monotone injections with only identity morphisms (the fat
     nerve of ordered sets and monotone injections is discrete)."""
-    return _string_space(
-        "ordered-injections", (_oi_level(k, max_size) for k in range(N + 1)), max_size
+    I = _injection_strings(max_size, N)
+    return simplicial_space(
+        "ordered-injections",
+        (discrete_groupoid(f"OI_{k}", L.objects, grade=L.grade) for k, L in enumerate(I.levels)),
+        *string_nerve_rules(_perm_compose, _ordinal),
+        max_size,
+        key_renderer=I.key_renderer,
     )
 
 
@@ -362,14 +292,11 @@ def oi_to_i(max_size: int, N: int) -> SimpMap:
     OI = oi_space(max_size, N)
     I, _ = injections_I(max_size, N)
 
-    def amap_level(k):
-        def amap(x, y, d):
-            return tuple(tuple(range(a)) for a in x[0])
-
-        return amap
+    def amap(x, y, d):
+        return tuple(map(_ordinal, x[0]))
 
     comps = tuple(
-        GroupoidFunctor(OI.level(k), I.level(k), lambda x: x, amap_level(k), name="forget")
+        GroupoidFunctor(OI.level(k), I.level(k), lambda x: x, amap, name="forget")
         for k in range(N + 1)
     )
     return SimpMap("forget[OI->I]", OI, I, comps)

@@ -19,7 +19,7 @@ from functools import lru_cache
 from itertools import product as iproduct
 
 from .. import delta
-from ..groupoids import FiniteGroupoid, GroupoidFunctor
+from ..groupoids import FiniteGroupoid, GroupoidFunctor, ladders
 from ..linalg_fq import (
     all_matrices,
     check_field,
@@ -37,7 +37,7 @@ from ..linalg_fq import (
     span_key,
 )
 from ..simplicial import SimpMap, TruncSimpGrpd, dec, simplicial_space
-from .fatnerve import string_nerve_rules
+from .fatnerve import string_nerve
 
 
 def _dim(obj, i, j):
@@ -225,18 +225,11 @@ def _gap_isos(q, x, y):
 
     out = []
 
-    def extend_row0(j, gs):
-        # gs: chosen g_{0,1..j-1}
-        if j > n:
-            propagate(gs)
-            return
-        for g in general_linear(dim(0, j), q):
-            if j > 1:
-                lhs = _mul(g, _h(x, 0, j - 1), dim(0, j), dim(0, j - 1), dim(0, j - 1), q)
-                rhs = _mul(_h(y, 0, j - 1), gs[-1], dim(0, j), dim(0, j - 1), dim(0, j - 1), q)
-                if lhs != rhs:
-                    continue
-            extend_row0(j + 1, gs + [g])
+    def commutes(j, f, g):
+        # g_{0,j+1} h_x(0,j) = h_y(0,j) g_{0,j}
+        return _mul(g, _h(x, 0, j), dim(0, j + 1), dim(0, j), dim(0, j), q) == _mul(
+            _h(y, 0, j), f, dim(0, j + 1), dim(0, j), dim(0, j), q
+        )
 
     def propagate(row0):
         rows = [row0]
@@ -262,7 +255,8 @@ def _gap_isos(q, x, y):
 
     if n == 0:
         return ((),)
-    extend_row0(1, [])
+    for row0 in ladders([general_linear(dim(0, j), q) for j in range(1, n + 1)], commutes):
+        propagate(row0)
     return tuple(out)
 
 
@@ -363,70 +357,23 @@ def vect_S(q: int, max_total_dim: int, N: int) -> TruncSimpGrpd:
 # the fat nerve of injective maps, and the bottom-decalage comparison
 
 
-@lru_cache(maxsize=None)
-def _mono_isos(q, x, y):
-    da, ma = x
-    db, mb = y
-    if da != db:
-        return ()
-    k = len(da) - 1
-    out = []
-
-    def rec(j, phis):
-        if j > k:
-            out.append(tuple(phis))
-            return
-        for g in general_linear(da[j], q):
-            if j > 0:
-                lhs = _mul(g, ma[j - 1], da[j], da[j - 1], da[j - 1], q)
-                rhs = _mul(mb[j - 1], phis[-1], da[j], da[j - 1], da[j - 1], q)
-                if lhs != rhs:
-                    continue
-            rec(j + 1, phis + [g])
-
-    rec(0, [])
-    return tuple(out)
-
-
 def mono_nerve(q: int, bound: int, N: int) -> TruncSimpGrpd:
     """Strings of injective linear maps between skeletal F_q spaces, with
     commuting ladders of invertible matrices as morphisms."""
     check_field(q)
-    levels = []
-    for k in range(N + 1):
-        objects = []
-
-        def rec(dims, mats):
-            if len(dims) == k + 1:
-                objects.append((tuple(dims), tuple(mats)))
-                return
-            a = dims[-1]
-            for b in range(a, bound + 1):
-                for mat in injective_matrices(b, a, q):
-                    rec(dims + [b], mats + [mat])
-
-        for a0 in range(bound + 1):
-            rec([a0], [])
-        levels.append(
-            FiniteGroupoid(
-                f"mono_{k}",
-                objects,
-                lambda x, y, q=q: _mono_isos(q, x, y),
-                lambda g, f, q=q: tuple(mat_mul(a, b, q) if a and a[0] else a for a, b in zip(g, f)),
-                lambda d, q=q: tuple(mat_inv(a, q) if a else a for a in d),
-                lambda x: tuple(eye(a) for a in x[0]),
-                grade=lambda x: x[0][-1],
-                canon_key=lambda x: x[0],
-            )
-        )
-
-    return simplicial_space(
+    return string_nerve(
         f"mono(q={q})",
-        levels,
-        *string_nerve_rules(
-            lambda x, i: _mul(x[1][i], x[1][i - 1], x[0][i + 1], x[0][i], x[0][i - 1], q), eye
-        ),
+        "mono",
+        range(bound + 1),
+        lambda a: [(b, m) for b in range(a, bound + 1) for m in injective_matrices(b, a, q)],
+        lambda a, b: general_linear(a, q) if a == b else (),
+        lambda g, f: mat_mul(g, f, q),
+        lambda a: mat_inv(a, q),
+        eye,
+        N,
         bound,
+        grade=lambda x: x[0][-1],
+        canon_key=lambda x: x[0],
         key_renderer=lambda key: "<=".join(str(d) for d in key),
     )
 

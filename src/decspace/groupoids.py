@@ -452,6 +452,23 @@ def name_functor(S: FiniteGroupoid, s) -> GroupoidFunctor:
     return GroupoidFunctor(T, S, lambda x: s, lambda x, y, d: S.identity(s), name=f"<{s!r}>")
 
 
+def ladders(choices, commutes) -> tuple:
+    """Every tuple (g_0, ..., g_k) with g_j from the sequence ``choices[j]``
+    and, for j > 0, ``commutes(j, g_{j-1}, g_j)`` true, in lexicographic
+    order of the choices: the hom-sets of strings whose morphisms are
+    commuting ladders, and of products (where everything commutes)."""
+    if any(not c for c in choices):
+        return ()
+    out = [(g,) for g in choices[0]] if choices else [()]
+    for j in range(1, len(choices)):
+        out = [p + (g,) for p in out for g in choices[j] if commutes(j, p[-1], g)]
+    return tuple(out)
+
+
+def _always(j, f, g):
+    return True
+
+
 def product_list(factors: list[FiniteGroupoid], grade_bound: int | None = None, name: str = "") -> FiniteGroupoid:
     """Product groupoid with tuple objects and tuple arrows.
 
@@ -485,13 +502,7 @@ def product_list(factors: list[FiniteGroupoid], grade_bound: int | None = None, 
     objects = list(gen((), 0, 0))
 
     def hom(xs, ys):
-        parts = [f.hom(x, y) for f, x, y in zip(factors, xs, ys)]
-        if any(not p for p in parts):
-            return ()
-        out = [()]
-        for p in parts:
-            out = [prev + (d,) for prev in out for d in p]
-        return tuple(out)
+        return ladders([f.hom(x, y) for f, x, y in zip(factors, xs, ys)], _always)
 
     def compose(g, f):
         return tuple(fac.compose(a, b) for fac, a, b in zip(factors, g, f))

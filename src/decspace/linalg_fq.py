@@ -125,12 +125,8 @@ def span_key(vectors, q: int):
     return tuple(tuple(r) for r in red[: len(pivots)])
 
 
-def columns(a):
-    return transpose(a)
-
-
 def image_key(a, q: int):
-    return span_key(columns(a), q)
+    return span_key(transpose(a), q)
 
 
 def all_matrices(rows: int, cols: int, q: int):

@@ -29,6 +29,7 @@ from .groupoids import (
     identity_functor,
     is_equivalence,
     is_pullback_square,
+    ladders,
     preimage_buckets,
     product_list,
     terminal_groupoid,
@@ -415,26 +416,13 @@ def segal_power(X: TruncSimpGrpd, r: int, grade_bound: int | None = None) -> Fin
 
     def hom(o1, o2):
         (e1, s1), (e2, s2) = o1, o2
-        parts = [X1.hom(a, b) for a, b in zip(e1, e2)]
-        if any(not p for p in parts):
-            return ()
-        out = []
 
-        def rec(prefix):
-            i = len(prefix)
-            if i == r:
-                out.append(tuple(prefix))
-                return
-            for g in parts[i]:
-                if i > 0:
-                    lhs = X0.compose(s2[i - 1], d0.arr(e1[i - 1], e2[i - 1], prefix[-1]))
-                    rhs = X0.compose(d1.arr(e1[i], e2[i], g), s1[i - 1])
-                    if lhs != rhs:
-                        continue
-                rec(prefix + [g])
+        def commutes(i, f, g):
+            return X0.compose(s2[i - 1], d0.arr(e1[i - 1], e2[i - 1], f)) == X0.compose(
+                d1.arr(e1[i], e2[i], g), s1[i - 1]
+            )
 
-        rec([])
-        return tuple(out)
+        return ladders([X1.hom(a, b) for a, b in zip(e1, e2)], commutes)
 
     return FiniteGroupoid(
         f"SegalPower({X.name},{r})",
@@ -471,7 +459,7 @@ def segal_comparison(X: TruncSimpGrpd, r: int, W: FiniteGroupoid) -> GroupoidFun
 
 
 def check_segal_direct(X: TruncSimpGrpd, r: int) -> bool:
-    """Equivalence test of the r-fold Segal comparison functor (r <= 3)."""
+    """Equivalence test of the r-fold Segal comparison functor (1 <= r <= N)."""
     if not 1 <= r <= X.N:
         raise LevelOutOfRange(f"r={r} outside truncation")
     if r == 1:

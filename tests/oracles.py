@@ -5,6 +5,8 @@ Each table and equivalence oracle enumerates the combinatorics directly on
 one concrete representative (cuts of a forest, ordered vertex bipartitions
 of a graph, subspaces of F_q^n, every hom-set of a functor) and never touches
 the simplicial machinery or the class bookkeeping it is used to check.
+``ladder_isos_reference`` is a depth-first hom-set search that shares no
+code with ``groupoids.ladders``.
 """
 
 from collections import Counter
@@ -122,3 +124,26 @@ def evaluate_by_composition(X, f):
             rep = next(j for j in range(gen.dom) if gen(j) == gen(j + 1))
             out = compose_functors(X.degeneracy(gen.cod, rep), out)
     return out
+
+
+def ladder_isos_reference(choices, commutes):
+    """Every tuple (g_0, ..., g_k) with g_j from ``choices[j]`` and
+    ``commutes(j, prefix, g_j)`` true for the entries ``prefix`` chosen
+    before it, by depth-first recursion in order of the choices.
+
+    ``commutes`` sees the whole prefix, so one search covers ladders (which
+    compare g_j with g_{j-1}) and grids of isomorphisms (which also compare
+    an entry with the one above it)."""
+    out = []
+
+    def rec(prefix):
+        j = len(prefix)
+        if j == len(choices):
+            out.append(tuple(prefix))
+            return
+        for g in choices[j]:
+            if commutes(j, prefix, g):
+                rec(prefix + [g])
+
+    rec([])
+    return tuple(out)

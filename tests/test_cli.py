@@ -57,6 +57,11 @@ def test_check_json_deterministic(capsys):
         ("check_forests_all_nodes3.txt", "check forests all --nodes 3 --format text"),
         ("check_graphs_all.json", "check graphs all --format json"),
         ("check_vect_all.txt", "check vect all --format text"),
+        ("coproduct_injections_max3.csv", "coproduct injections --max 3 --format csv"),
+        (
+            "check_injections_all_max3_corrupt2.json",
+            "check injections all --max 3 --corrupt-seed 2 --format json",
+        ),
     ],
 )
 def test_output_matches_golden(capsys, golden, argv):

@@ -1,5 +1,6 @@
 import hashlib
 import json
+from itertools import permutations
 from pathlib import Path
 
 import pytest
@@ -22,6 +23,7 @@ from decspace.gallery import (
     vect_S,
 )
 from decspace.gallery.posets import PosetSpec, chain_poset, divisibility_poset
+from decspace.linalg_fq import general_linear, mat_mul
 from decspace.groupoids import (
     generating_arrows,
     is_equivalence,
@@ -35,9 +37,11 @@ from decspace.simplicial import (
     corrupted_variant,
     dec,
     product_simplicial,
+    segal_power,
     truncate,
     validate_simplicial,
 )
+from oracles import ladder_isos_reference
 
 
 def _z3():
@@ -63,7 +67,16 @@ def test_every_constructor_validates(binomial3, forests3, graphs3, vect22, chain
 
 def test_level_groupoids_satisfy_axioms():
     # full groupoid axioms by enumeration, at small size
-    spaces = [binomial_B(2, 2), forests_H(2, 2), graphs_G(2, 2), vect_S(2, 1, 2)]
+    spaces = [
+        binomial_B(2, 2),
+        forests_H(2, 2),
+        graphs_G(2, 2),
+        vect_S(2, 1, 2),
+        injections_I(2, 2)[0],
+        mono_nerve(2, 1, 2),
+        fat_nerve(_z3(), 1),
+        fat_nerve(poset_category(chain_poset(2)), 2),
+    ]
     for X in spaces:
         for n in range(X.N + 1):
             rep = validate_groupoid(X.level(n))
@@ -168,6 +181,122 @@ def test_injections_matches_generic_fat_nerve():
         ta, tb = iso_classes(GA), iso_classes(GB)
         assert sorted(c.aut_order for c in ta) == sorted(c.aut_order for c in tb)
         assert len(ta) == len(tb)
+
+
+# ---------------------------------------------------------------------------
+# hom-sets against a depth-first reference search
+
+
+def _string_reference(isos, compose):
+    """Ladders of ``isos`` at the nodes of two strings whose squares commute."""
+
+    def hom(s, t):
+        (xs, fs), (ys, gs) = s, t
+        return ladder_isos_reference(
+            [isos(x, y) for x, y in zip(xs, ys)],
+            lambda j, prefix, g: j == 0 or compose(g, fs[j - 1]) == compose(gs[j - 1], prefix[-1]),
+        )
+
+    return hom
+
+
+def _fat_reference(cat):
+    invertible = cat.isos()
+    return _string_reference(
+        lambda x, y: [f for f in cat.hom.get((x, y), ()) if f in invertible],
+        lambda g, f: cat.compose[(g, f)],
+    )
+
+
+def _segal_reference(X):
+    X1, X0, d0, d1 = X.level(1), X.level(0), X.face(1, 0), X.face(1, 1)
+
+    def hom(o1, o2):
+        (e1, s1), (e2, s2) = o1, o2
+        return ladder_isos_reference(
+            [X1.hom(a, b) for a, b in zip(e1, e2)],
+            lambda i, prefix, g: i == 0
+            or X0.compose(s2[i - 1], d0.arr(e1[i - 1], e2[i - 1], prefix[-1]))
+            == X0.compose(d1.arr(e1[i], e2[i], g), s1[i - 1]),
+        )
+
+    return hom
+
+
+def _staircase_reference(q):
+    """Grids g_ij (0 <= i < j <= n) of invertible matrices commuting with the
+    horizontal maps of each row and the vertical maps of each column."""
+
+    def hom(x, y):
+        n, dims = x[0], x[1]
+        if dims != y[1]:
+            return ()
+        cells = [(i, j) for i in range(n) for j in range(i + 1, n + 1)]
+
+        def commutes(t, prefix, g):
+            i, j = cells[t]
+            done = dict(zip(cells, prefix))
+            if j - 1 > i:
+                h_x, h_y = x[2][i][j - 1 - i], y[2][i][j - 1 - i]
+                if mat_mul(g, h_x, q) != mat_mul(h_y, done[i, j - 1], q):
+                    return False
+            if i > 0:
+                v_x, v_y = x[3][i - 1][j - i], y[3][i - 1][j - i]
+                if mat_mul(g, v_x, q) != mat_mul(v_y, done[i - 1, j], q):
+                    return False
+            return True
+
+        grids = ladder_isos_reference([general_linear(dims[i][j - i], q) for i, j in cells], commutes)
+        out = []
+        for grid in grids:
+            entries = iter(grid)
+            out.append(tuple(tuple(next(entries) for _ in range(i + 1, n + 1)) for i in range(n)))
+        return tuple(out)
+
+    return hom
+
+
+def _reference_cases():
+    """(label, groupoid, reference hom, pairs) for every level of the string
+    nerves, the staircases and two Segal powers."""
+    inj = _string_reference(
+        lambda a, b: list(permutations(range(a))) if a == b else [],
+        lambda g, f: tuple(g[v] for v in f),
+    )
+    mono = _string_reference(
+        lambda a, b: general_linear(a, 2) if a == b else (), lambda g, f: mat_mul(g, f, 2)
+    )
+    z3, chain = _z3(), poset_category(chain_poset(2))
+    spaces = [
+        ("injections_I(3,2)", injections_I(3, 2)[0], inj),
+        ("mono_nerve(2,2,2)", mono_nerve(2, 2, 2), mono),
+        ("fat_nerve(Z3,3)", fat_nerve(z3, 3), _fat_reference(z3)),
+        ("fat_nerve(chain2,3)", fat_nerve(chain, 3), _fat_reference(chain)),
+        ("vect_S(2,2,2)", vect_S(2, 2, 2), _staircase_reference(2)),
+        ("vect_S(3,2,2)", vect_S(3, 2, 2), _staircase_reference(3)),
+        ("vect_S(2,2,3)", vect_S(2, 2, 3), _staircase_reference(2)),
+    ]
+    for label, X, ref in spaces:
+        for n in range(X.N + 1):
+            yield f"{label}@{n}", X.level(n), ref
+    for label, X in (("binomial_B(3,3)", binomial_B(3, 3)), ("graphs_G(2,2)", graphs_G(2, 2))):
+        for r in (2, 3):
+            yield f"segal_power({label},{r})", segal_power(X, r, X.grade_bound), _segal_reference(X)
+
+
+def test_hom_sets_match_reference_ladder_search():
+    # hom-sets in content and order: between every pair of objects of the
+    # levels up to 50 objects, and on the three bigger levels (71, 117 and
+    # 331 objects; all pairs take seconds to minutes) from each class
+    # representative to the first three members of every class
+    for label, G, ref in _reference_cases():
+        if len(G.objects) > 50:
+            classes = iso_classes(G)
+            pairs = [(c.rep, y) for c in classes for d in classes for y in d.members[:3]]
+        else:
+            pairs = [(x, y) for x in G.objects for y in G.objects]
+        for x, y in pairs:
+            assert G.hom(x, y) == ref(x, y), (label, x, y)
 
 
 def test_binomial_level_one(binomial4):
