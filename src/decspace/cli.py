@@ -45,14 +45,16 @@ def build_space(args) -> tuple:
     """Resolve the space argument to (TruncSimpGrpd, grade bound)."""
     name = args.space
     level = args.level
+    bound = None
+    for flag in ("grade", "max", "nodes", "vertices", "dim"):
+        val = getattr(args, flag)
+        if val is not None:
+            if val < 0:
+                raise DecspaceError(f"--{flag} must be >= 0, got {val}")
+            bound = val
     if name.startswith("poset:"):
         spec = PosetSpec.from_file(name.split(":", 1)[1])
         return nerve_of_poset(spec, level), 0
-    bound = args.grade
-    for alias in ("max", "nodes", "vertices", "dim"):
-        val = getattr(args, alias, None)
-        if val is not None:
-            bound = val
     if bound is None:
         bound = DEFAULT_BOUNDS.get(name)
     makers = {

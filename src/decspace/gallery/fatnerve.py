@@ -10,7 +10,7 @@ here, the injection strings and the strings of injective linear maps.
 from __future__ import annotations
 
 from ..errors import InvalidCategory
-from ..groupoids import FiniteGroupoid, ladders
+from ..groupoids import FiniteGroupoid, ladders, memo_hom
 from ..simplicial import TruncSimpGrpd, simplicial_space
 
 
@@ -72,19 +72,15 @@ def string_nerve(
     ``identity(node)`` entrywise.  Hom-sets are memoized per pair of strings
     in a dict that lives and dies with the space.
     """
-    homs: dict = {}
 
-    def hom(s, t):
-        try:
-            return homs[s, t]
-        except KeyError:
-            (xs, fs), (ys, gs) = s, t
-            found = homs[s, t] = ladders(
-                [isos(x, y) for x, y in zip(xs, ys)],
-                lambda j, a, b: compose(b, fs[j - 1]) == compose(gs[j - 1], a),
-            )
-            return found
+    def ladder_isos(s, t):
+        (xs, fs), (ys, gs) = s, t
+        return ladders(
+            [isos(x, y) for x, y in zip(xs, ys)],
+            lambda j, a, b: compose(b, fs[j - 1]) == compose(gs[j - 1], a),
+        )
 
+    hom = memo_hom(ladder_isos)
     strings = [((x,), ()) for x in starts]
     levels = []
     for k in range(N + 1):

@@ -15,11 +15,10 @@ an initial segment, which is what makes the face maps strictly simplicial.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import permutations, product as iproduct
+from itertools import product as iproduct
 
-from ..groupoids import FiniteGroupoid
-from ..simplicial import TruncSimpGrpd, simplicial_space
-from .sets import _perm_compose, _perm_inverse, layered_rules, union_amap
+from ..simplicial import TruncSimpGrpd
+from .sets import layered_space
 
 
 @lru_cache(maxsize=None)
@@ -46,13 +45,10 @@ def _labeled_forests(m: int):
     return tuple(out)
 
 
-def _layerings(parents, k: int):
-    m = len(parents)
-    out = []
-    for lay in iproduct(range(1, k + 1), repeat=m):
-        if all(parents[e] == -1 or lay[e] >= lay[parents[e]] for e in range(m)):
-            out.append(lay)
-    return out
+def _admissible(obj):
+    """A layer never decreases from root to leaf."""
+    _, parents, lay = obj
+    return all(p == -1 or lay[e] >= lay[p] for e, p in enumerate(parents))
 
 
 @lru_cache(maxsize=None)
@@ -72,38 +68,9 @@ def _forest_canon(obj):
     return tuple(sorted(enc(r) for r in roots))
 
 
-@lru_cache(maxsize=None)
-def _forest_isos(x, y):
-    m, px, lx = x
-    my, py, ly = y
-    if m != my or sorted(lx) != sorted(ly):
-        return ()
-    out = []
-    for pi in permutations(range(m)):
-        if all(ly[pi[e]] == lx[e] for e in range(m)) and all(
-            (py[pi[e]] == -1) if px[e] == -1 else (py[pi[e]] == pi[px[e]])
-            for e in range(m)
-        ):
-            out.append(pi)
-    return tuple(out)
-
-
-def _h_level(k: int, bound: int) -> FiniteGroupoid:
-    objects = []
-    for m in range(bound + 1):
-        for parents in _labeled_forests(m):
-            for lay in _layerings(parents, k):
-                objects.append((m, parents, lay))
-    return FiniteGroupoid(
-        f"H_{k}",
-        objects,
-        _forest_isos,
-        _perm_compose,
-        _perm_inverse,
-        lambda x: tuple(range(x[0])),
-        grade=lambda x: x[0],
-        canon_key=_forest_canon,
-    )
+def _keeps_parents(x, y, pi):
+    px, py = x[1], y[1]
+    return all(py[pi[e]] == (-1 if p == -1 else pi[p]) for e, p in enumerate(px))
 
 
 def _h_induced(obj, keep):
@@ -127,16 +94,11 @@ def _h_union(pair):
 def forests_H(max_nodes: int, N: int) -> TruncSimpGrpd:
     """Forests with admissible cuts, graded by node count; ships the
     disjoint-union monoidal rule."""
-    X = simplicial_space(
-        "forests",
-        (_h_level(k, max_nodes) for k in range(N + 1)),
-        *layered_rules(_h_induced, mirrored=True),
-        max_nodes,
-        key_renderer=render_forest_key,
+    return layered_space(
+        "forests", "H", lambda m: [(p,) for p in _labeled_forests(m)], _keeps_parents,
+        lambda k: _forest_canon, _h_induced, _h_union, (), max_nodes, N,
+        admissible=_admissible, mirrored=True, key_renderer=render_forest_key,
     )
-    X.mu = (_h_union, union_amap)
-    X.unit_key = ()
-    return X
 
 
 def _render_tree(t) -> str:

@@ -12,11 +12,10 @@ by exhaustive minimization over relabellings (fine at <= 4 vertices).
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations, permutations, product as iproduct
+from itertools import combinations, permutations
 
-from ..groupoids import FiniteGroupoid
-from ..simplicial import TruncSimpGrpd, simplicial_space
-from .sets import _perm_compose, _perm_inverse, layered_rules, union_amap
+from ..simplicial import TruncSimpGrpd
+from .sets import _perm_inverse, layered_space
 
 
 def _edge_universe(m: int):
@@ -58,38 +57,8 @@ def _graph_canon(obj):
     return best if best is not None else (0, (), ())
 
 
-@lru_cache(maxsize=None)
-def _graph_isos(x, y):
-    m, ex, lx = x
-    my, ey, ly = y
-    if m != my or len(ex) != len(ey) or sorted(lx) != sorted(ly):
-        return ()
-    eyset = set(ey)
-    out = []
-    for pi in permutations(range(m)):
-        if all(ly[pi[e]] == lx[e] for e in range(m)) and all(
-            (min(pi[u], pi[v]), max(pi[u], pi[v])) in eyset for (u, v) in ex
-        ):
-            out.append(pi)
-    return tuple(out)
-
-
-def _g_level(k: int, bound: int) -> FiniteGroupoid:
-    objects = []
-    for m in range(bound + 1):
-        for edges in _graphs(m):
-            for lay in iproduct(range(1, k + 1), repeat=m):
-                objects.append((m, edges, lay))
-    return FiniteGroupoid(
-        f"G_{k}",
-        objects,
-        _graph_isos,
-        _perm_compose,
-        _perm_inverse,
-        lambda x: tuple(range(x[0])),
-        grade=lambda x: x[0],
-        canon_key=_graph_canon,
-    )
+def _keeps_edges(x, y, pi):
+    return _apply_perm_edges(x[1], pi) == y[1]
 
 
 def _g_induced(obj, keep):
@@ -107,16 +76,11 @@ def _g_union(pair):
 def graphs_G(max_vertices: int, N: int) -> TruncSimpGrpd:
     """Graphs graded by vertex count, with ordered vertex partitions per
     level and the disjoint-union monoidal rule."""
-    X = simplicial_space(
-        "graphs",
-        (_g_level(k, max_vertices) for k in range(N + 1)),
-        *layered_rules(_g_induced),
-        max_vertices,
+    return layered_space(
+        "graphs", "G", lambda m: [(edges,) for edges in _graphs(m)], _keeps_edges,
+        lambda k: _graph_canon, _g_induced, _g_union, (0, (), ()), max_vertices, N,
         key_renderer=render_graph_key,
     )
-    X.mu = (_g_union, union_amap)
-    X.unit_key = (0, (), ())
-    return X
 
 
 def render_graph_key(key) -> str:

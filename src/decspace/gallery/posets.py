@@ -23,7 +23,8 @@ class PosetSpec:
 
     @classmethod
     def from_file(cls, path) -> "PosetSpec":
-        """UTF-8 lines ``a < b``; blank lines and ``#`` comments ignored."""
+        """UTF-8 lines ``a < b`` with two non-empty sides; blank lines and
+        ``#`` comments ignored."""
         elements: list = []
         pairs = set()
         with open(path, encoding="utf-8") as fh:
@@ -31,10 +32,10 @@ class PosetSpec:
                 line = line.strip()
                 if not line or line.startswith("#"):
                     continue
-                if "<" not in line:
+                sides = [x.strip() for x in line.split("<")]
+                if len(sides) != 2 or not all(sides):
                     raise NotAPoset(f"cannot parse line {line!r}")
-                a, _, b = line.partition("<")
-                a, b = a.strip(), b.strip()
+                a, b = sides
                 for x in (a, b):
                     if x not in elements:
                         elements.append(x)

@@ -1,21 +1,21 @@
-"""Layered finite sets (the binomial family), strings of monotone injections,
-and the decalage comparison between the two.
+"""Layered structures (finite sets here, forests and graphs through
+``layered_space``), strings of monotone injections, and the decalage
+comparison between layered sets and injection strings.
 
-A level-k object of the binomial family is a finite set {0..m-1} with a layer
+A level-k object of a layered family is a structure on {0..m-1} with a layer
 assignment into {1..k}; merging adjacent layers, deleting an outer layer (with
 canonical order-compression of the surviving labels) and inserting an empty
-layer give strictly simplicial structure maps.  Iso classes are layer-size
-tuples and automorphisms are layer-preserving permutations, so this is the
-monoidal nerve of finite sets under disjoint union in a strict skeletal
-presentation.
+layer give strictly simplicial structure maps.  For the binomial family the
+structure is empty: iso classes are layer-size tuples and automorphisms are
+layer-preserving permutations, so this is the monoidal nerve of finite sets
+under disjoint union in a strict skeletal presentation.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import combinations, permutations, product as iproduct
 
-from ..groupoids import FiniteGroupoid, GroupoidFunctor, discrete_groupoid
+from ..groupoids import FiniteGroupoid, GroupoidFunctor, discrete_groupoid, memo_hom
 from ..simplicial import SimpMap, TruncSimpGrpd, dec, simplicial_space
 from .fatnerve import string_nerve, string_nerve_rules
 
@@ -29,6 +29,10 @@ def _perm_inverse(p):
     for i, v in enumerate(p):
         out[v] = i
     return tuple(out)
+
+
+def _ordinal(a):
+    return tuple(range(a))
 
 
 def _restrict_perm(pi, keep_src, keep_tgt):
@@ -99,55 +103,59 @@ def union_amap(xs, ys, ds):
 
 
 # ---------------------------------------------------------------------------
-# layered finite sets
+# layered structures, and layered finite sets
 
 
-@lru_cache(maxsize=None)
-def _layered_isos(x, y):
-    """All layer-preserving bijections between two layered sets."""
-    m, lx = x
-    my, ly = y
-    if m != my or sorted(lx) != sorted(ly):
-        return ()
-    by_layer_x: dict = {}
-    by_layer_y: dict = {}
-    for e in range(m):
-        by_layer_x.setdefault(lx[e], []).append(e)
-    for e in range(m):
-        by_layer_y.setdefault(ly[e], []).append(e)
-    if {k: len(v) for k, v in by_layer_x.items()} != {
-        k: len(v) for k, v in by_layer_y.items()
-    }:
-        return ()
-    layers = sorted(by_layer_x)
-    out = [dict()]
-    for lay in layers:
-        src, tgt = by_layer_x[lay], by_layer_y[lay]
-        new = []
-        for base in out:
-            for assignment in permutations(tgt):
-                d = dict(base)
-                d.update(zip(src, assignment))
-                new.append(d)
-        out = new
-    return tuple(tuple(d[e] for e in range(m)) for d in out)
+def layered_space(
+    name, level_name, middles, keeps, canon_key, induced, union, unit_key,
+    grade_bound: int, N: int, admissible=None, mirrored: bool = False, key_renderer=None,
+) -> TruncSimpGrpd:
+    """The layered family whose level k, named ``{level_name}_{k}``, holds
+    the objects ``(m, *middle, layers)``: m up to ``grade_bound``, a middle
+    tuple from ``middles(m)`` and a layering into {1..k} that
+    ``admissible(obj)`` accepts (any, when None), in lexicographic order,
+    keyed by ``canon_key(k)``.  Arrows x -> y are the layer-preserving
+    permutations pi with ``keeps(x, y, pi)``, in lexicographic order,
+    memoized per pair of objects in a dict that lives with the space.
+    Faces and degeneracies are ``layered_rules(induced, mirrored)``; the
+    monoidal rule is ``union`` with ``union_amap``, unit ``unit_key``."""
 
+    def search(x, y):
+        m, lx, ly = x[0], x[-1], y[-1]
+        if y[0] != m:
+            return ()
+        perms = [()]
+        for lay in lx:
+            perms = [p + (v,) for p in perms for v in range(m) if ly[v] == lay and v not in p]
+        return tuple(pi for pi in perms if keeps(x, y, pi))
 
-def _b_level(k: int, bound: int) -> FiniteGroupoid:
-    objects = []
-    for m in range(bound + 1):
-        for layers in iproduct(range(1, k + 1), repeat=m):
-            objects.append((m, layers))
-    return FiniteGroupoid(
-        f"B_{k}",
-        objects,
-        _layered_isos,
-        _perm_compose,
-        _perm_inverse,
-        lambda x: tuple(range(x[0])),
-        grade=lambda x: x[0],
-        canon_key=lambda x, k=k: tuple(x[1].count(j) for j in range(1, k + 1)),
+    hom = memo_hom(search)
+    levels = []
+    for k in range(N + 1):
+        objects = [
+            (m, *middle, lay)
+            for m in range(grade_bound + 1)
+            for middle in middles(m)
+            for lay in iproduct(range(1, k + 1), repeat=m)
+        ]
+        levels.append(
+            FiniteGroupoid(
+                f"{level_name}_{k}",
+                objects if admissible is None else filter(admissible, objects),
+                hom,
+                _perm_compose,
+                _perm_inverse,
+                lambda x: _ordinal(x[0]),
+                grade=lambda x: x[0],
+                canon_key=canon_key(k),
+            )
+        )
+    X = simplicial_space(
+        name, levels, *layered_rules(induced, mirrored), grade_bound, key_renderer=key_renderer
     )
+    X.mu = (union, union_amap)
+    X.unit_key = unit_key
+    return X
 
 
 def _b_union(pair):
@@ -161,16 +169,12 @@ def binomial_B(max_size: int, N: int) -> TruncSimpGrpd:
     Ships the disjoint-union monoidal rule (shift-relabelled union, which is
     strictly natural) and canonical keys equal to layer-size tuples.
     """
-    X = simplicial_space(
-        "binomial",
-        (_b_level(k, max_size) for k in range(N + 1)),
-        *layered_rules(lambda obj, keep: ()),
-        max_size,
+    return layered_space(
+        "binomial", "B", lambda m: [()], lambda x, y, pi: True,
+        lambda k: lambda x: tuple(x[1].count(j) for j in range(1, k + 1)),
+        lambda obj, keep: (), _b_union, (0,), max_size, N,
         key_renderer=lambda key: str(key[0]) if len(key) == 1 else str(key),
     )
-    X.mu = (_b_union, union_amap)
-    X.unit_key = (0,)
-    return X
 
 
 # ---------------------------------------------------------------------------
@@ -197,10 +201,6 @@ def _injection_strings(max_size: int, N: int) -> TruncSimpGrpd:
         canon_key=lambda x: x[0],
         key_renderer=lambda key: f"{key[0]}->{key[1]}" if len(key) == 2 else str(key),
     )
-
-
-def _ordinal(a):
-    return tuple(range(a))
 
 
 def _i_union(pair):

@@ -465,6 +465,22 @@ def ladders(choices, commutes) -> tuple:
     return tuple(out)
 
 
+def memo_hom(search: Callable) -> Callable:
+    """The hom-set function ``search(x, y)``, computed once per pair of
+    objects in a dict that lives as long as the returned function, so as
+    long as the space whose levels hold it."""
+    homs: dict = {}
+
+    def hom(x, y):
+        try:
+            return homs[x, y]
+        except KeyError:
+            found = homs[x, y] = search(x, y)
+            return found
+
+    return hom
+
+
 def _always(j, f, g):
     return True
 

@@ -6,12 +6,13 @@ one concrete representative (cuts of a forest, ordered vertex bipartitions
 of a graph, subspaces of F_q^n, every hom-set of a functor) and never touches
 the simplicial machinery or the class bookkeeping it is used to check.
 ``ladder_isos_reference`` is a depth-first hom-set search that shares no
-code with ``groupoids.ladders``.
+code with ``groupoids.ladders``, and ``layer_perms_reference`` filters every
+permutation of the labels, sharing no code with ``gallery.sets.layered_space``.
 """
 
 from collections import Counter
 from fractions import Fraction
-from itertools import product as iproduct
+from itertools import permutations, product as iproduct
 
 from decspace import delta
 from decspace.gallery.forests import _forest_canon
@@ -147,3 +148,42 @@ def ladder_isos_reference(choices, commutes):
 
     rec([])
     return tuple(out)
+
+
+def layer_perms_reference(x, y, keeps):
+    """Every permutation pi of range(m), in the order of
+    ``itertools.permutations``, that sends each label of the layered object
+    x = (m, ..., layers) to a label of the same layer of y and passes
+    ``keeps(x, y, pi)``."""
+    m, lx, ly = x[0], x[-1], y[-1]
+    if y[0] != m:
+        return ()
+    return tuple(
+        pi
+        for pi in permutations(range(m))
+        if all(ly[pi[e]] == lx[e] for e in range(m)) and keeps(x, y, pi)
+    )
+
+
+def keeps_any(x, y, pi):
+    return True
+
+
+def keeps_parents(x, y, pi):
+    """pi is a forest isomorphism: roots go to roots, and the parent of e
+    goes to the parent of pi(e)."""
+    px, py = x[1], y[1]
+    return all(
+        (py[pi[e]] == -1) if px[e] == -1 else (py[pi[e]] == pi[px[e]])
+        for e in range(len(px))
+    )
+
+
+def keeps_edges(x, y, pi):
+    """pi is a graph isomorphism: as many edges, and each edge of x goes to
+    an edge of y."""
+    ex, ey = x[1], y[1]
+    eyset = set(ey)
+    return len(ex) == len(ey) and all(
+        (min(pi[u], pi[v]), max(pi[u], pi[v])) in eyset for (u, v) in ex
+    )

@@ -135,3 +135,20 @@ def test_invalid_space(capsys):
 def test_missing_poset_file(capsys):
     code = main(["check", "poset:/nonexistent/file.txt", "all"])
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "check binomial all --max -1",
+        "check forests segal --nodes -2",
+        "check graphs all --vertices -1",
+        "check vect all --dim -1",
+        "coproduct binomial --grade -3",
+        "coassoc forests --grade 2 --nodes -1",
+    ],
+)
+def test_negative_grade_bound_rejected(capsys, argv):
+    assert main(argv.split()) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --") and "must be >= 0" in err

@@ -14,7 +14,7 @@ from decspace.gallery import (
     oi_to_i,
     vect_S,
 )
-from decspace.gallery.sets import _b_level, layered_rules
+from decspace.gallery.sets import layered_rules
 from decspace.groupoids import GroupoidFunctor, functors_equal, is_equivalence
 from decspace.simplicial import (
     SimpMap,
@@ -152,7 +152,7 @@ def _counting_binomial():
         return counted_rule
 
     face, degen = layered_rules(lambda obj, keep: ())
-    levels = [_b_level(k, 3) for k in range(4)]
+    levels = binomial_B(3, 3).levels
     return simplicial_space("binomial", levels, counting("d", face), counting("s", degen), 3), calls
 
 
