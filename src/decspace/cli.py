@@ -46,12 +46,16 @@ def build_space(args) -> tuple:
     name = args.space
     level = args.level
     bound = None
+    flags = []
     for flag in ("grade", "max", "nodes", "vertices", "dim"):
         val = getattr(args, flag)
         if val is not None:
             if val < 0:
                 raise DecspaceError(f"--{flag} must be >= 0, got {val}")
             bound = val
+            flags.append(f"--{flag}")
+    if len(flags) > 1:
+        raise DecspaceError(f"give one grade bound, got {' and '.join(flags)}")
     if name.startswith("poset:"):
         spec = PosetSpec.from_file(name.split(":", 1)[1])
         return nerve_of_poset(spec, level), 0

@@ -28,17 +28,8 @@ from .groupoids import (
     iso_classes,
     preimage_buckets,
 )
-from .linalg_fq import (
-    all_matrices,
-    check_field,
-    general_linear,
-    gl_order,
-    image_key,
-    injective_matrices,
-    kernel_basis,
-    rank,
-    span_key,
-)
+from .gallery.vect import staircases
+from .linalg_fq import check_field, general_linear, gl_order
 from .report import CheckReport
 from .simplicial import SimpMap, TruncSimpGrpd, check_culf, evaluate
 
@@ -301,11 +292,7 @@ def homomorphism_check(
     report = CheckReport("coalgebra-homomorphism", f"{X.name}->{Y.name}", X.N, grade_bound)
     dX = comultiplication(X, grade_bound)
     dY = comultiplication(Y, grade_bound)
-    lhs = SparseMat()
-    for (g, f), w in M.entries.items():
-        for (cd, gg), v in dY.entries.items():
-            if gg == g:
-                lhs.add(cd, f, v * w)
+    lhs = matrix_compose(dY, M)
     rhs = SparseMat()
     mcols: dict = {}
     for (r, c), v in M.entries.items():
@@ -423,14 +410,15 @@ def gaussian_binomial(n: int, k: int, q: int) -> int:
 
 
 def hall_number(q: int, n: int, k: int) -> HallResult:
-    """Comultiplication coefficient of the short-exact-sequence groupoid at
+    """Comultiplication coefficient of the S-construction of Vect_q at
     (F^n; F^k, F^{n-k}), against the Gaussian binomial.
 
     The coefficient is the number of short exact sequences on the fixed
-    skeletal spaces divided by |GL_k| |GL_{n-k}|: the connecting-isomorphism
-    freedom in the homotopy fibre cancels the base-change freedom exactly
-    (the group acts freely), so the direct count below computes the same
-    rational the fibre formula defines.
+    skeletal spaces, the level-2 staircases with layers (k, n-k), divided by
+    |GL_k| |GL_{n-k}|: the connecting-isomorphism freedom in the homotopy
+    fibre cancels the base-change freedom exactly (the group acts freely), so
+    this count is the homotopy cardinality of the d_1-fibre over F^n.  At
+    k = 0 or k = n the sequences are the automorphisms of F^n.
     """
     check_field(q)
     if not 0 <= k <= n <= 3:
@@ -438,12 +426,7 @@ def hall_number(q: int, n: int, k: int) -> HallResult:
     if k in (0, n):
         pairs = len(general_linear(n, q))
     else:
-        pairs = 0
-        for h in injective_matrices(n, k, q):
-            target_kernel = image_key(h, q)
-            for v in all_matrices(n - k, n, q):
-                if rank(v, q) == n - k and span_key(kernel_basis(v, q), q) == target_kernel:
-                    pairs += 1
+        pairs = sum(1 for _ in staircases(q, (k, n - k)))
     coefficient = Fraction(pairs, gl_order(k, q) * gl_order(n - k, q))
     gaussian = Fraction(gaussian_binomial(n, k, q))
     return HallResult(coefficient, gaussian, coefficient == gaussian)

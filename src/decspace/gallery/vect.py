@@ -9,14 +9,15 @@ all entries containing an index, degeneracies duplicate a row and column with
 identity maps), which is strictly functorial on the nose.
 
 Enumeration is exhaustive and meant for total dimension <= 2 at q in {2, 3}
-(dimension 3 works but is slow; the Hall-number routines use a direct count
-instead of this groupoid).
+(dimension 3 works but is slow).  ``staircases`` is the one enumeration of
+exact staircases: the Hall numbers count its level-2 output, the short exact
+sequences on fixed skeletal spaces.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import product as iproduct
+from itertools import accumulate, product as iproduct
 
 from .. import delta
 from ..groupoids import FiniteGroupoid, GroupoidFunctor, ladders
@@ -126,23 +127,34 @@ def _compositions(n, bound):
             yield (head,) + tail
 
 
-def _assemble_objects(n, cs, q):
-    """All staircases with layer dimensions cs, built row by row."""
-    pref = [0]
-    for c in cs:
-        pref.append(pref[-1] + c)
-    dims = tuple(
+def staircases(q, dims):
+    """Every staircase whose layers have dimensions dims, built row by row.
+
+    Each vertical surjection is read from an index of the surjective r x c
+    matrices by kernel, kept in ``all_matrices`` order and filled on first
+    use per shape within this call."""
+    n = len(dims)
+    pref = [0, *accumulate(dims)]
+    grid = tuple(
         tuple(pref[j] - pref[i] for j in range(i, n + 1)) for i in range(n + 1)
     )
 
     def dim(i, j):
-        return dims[i][j - i]
+        return grid[i][j - i]
+
+    surjections = {}
+
+    def by_kernel(r, c):
+        if (r, c) not in surjections:
+            index = surjections[(r, c)] = {}
+            for v in all_matrices(r, c, q):
+                if rank(v, q) == r:
+                    index.setdefault(_kernel_key(v, r, c, q), []).append(v)
+        return surjections[(r, c)]
 
     row0_choices = [[tuple(() for _ in range(dim(0, 1)))]]
     for j in range(1, n):
         row0_choices.append(list(injective_matrices(dim(0, j + 1), dim(0, j), q)))
-
-    out = []
 
     def row_comp_partial(row_h, i, j1, j2):
         cur = eye(dim(i, j1))
@@ -153,9 +165,9 @@ def _assemble_objects(n, cs, q):
     def build_rows(h_rows, v_rows, i):
         # h_rows holds rows 0..min(i, n-1); v_rows holds rows < i
         if i == n:
-            obj = (n, dims, tuple(tuple(r) for r in h_rows), tuple(tuple(r) for r in v_rows))
+            obj = (n, grid, tuple(tuple(r) for r in h_rows), tuple(tuple(r) for r in v_rows))
             if _gap_validate(obj, q):
-                out.append(obj)
+                yield obj
             return
 
         def choose_v(j, vs):
@@ -177,30 +189,25 @@ def _assemble_objects(n, cs, q):
                         if g is None:
                             return
                         h_next.append(g)
-                    build_rows(h_rows + [h_next], v_rows + [vs], i + 1)
+                    yield from build_rows(h_rows + [h_next], v_rows + [vs], i + 1)
                 else:
-                    build_rows(h_rows, v_rows + [vs], i + 1)
+                    yield from build_rows(h_rows, v_rows + [vs], i + 1)
                 return
             if j == i + 1:
-                choose_v(j + 1, vs + [()])
+                yield from choose_v(j + 1, vs + [()])
                 return
             target_kernel = (
                 image_key(row_comp_partial(h_rows[i], i, i + 1, j), q)
                 if dim(i, i + 1)
                 else ()
             )
-            r, c = dim(i + 1, j), dim(i, j)
-            for v in all_matrices(r, c, q):
-                if rank(v, q) != r:
-                    continue
-                if _kernel_key(v, r, c, q) == target_kernel:
-                    choose_v(j + 1, vs + [v])
+            for v in by_kernel(dim(i + 1, j), dim(i, j)).get(target_kernel, ()):
+                yield from choose_v(j + 1, vs + [v])
 
-        choose_v(i + 1, [])
+        yield from choose_v(i + 1, [])
 
     for hs in iproduct(*row0_choices):
-        build_rows([list(hs)], [], 0)
-    return out
+        yield from build_rows([list(hs)], [], 0)
 
 
 def _v_level_objects(n, bound, q):
@@ -208,7 +215,7 @@ def _v_level_objects(n, bound, q):
         return [(0, ((0,),), (), ())]
     objects = []
     for cs in _compositions(n, bound):
-        objects.extend(_assemble_objects(n, cs, q))
+        objects.extend(staircases(q, cs))
     return objects
 
 

@@ -835,6 +835,8 @@ def corrupted_variant(X: TruncSimpGrpd, seed: int) -> tuple[TruncSimpGrpd, str]:
     characterizations through the Segal squares of the two decalages), which
     is what makes perturbed instances usable as agreement controls.
     """
+    if X.N < 2:
+        raise LevelOutOfRange(f"{X.name} has no inner face to corrupt: levels 0..{X.N}")
     rng = random.Random(seed)
     new_faces = dict(X.faces)
     inner = [(n, i) for n in range(2, X.N + 1) for i in range(1, n)]

@@ -8,6 +8,8 @@ the simplicial machinery or the class bookkeeping it is used to check.
 ``ladder_isos_reference`` is a depth-first hom-set search that shares no
 code with ``groupoids.ladders``, and ``layer_perms_reference`` filters every
 permutation of the labels, sharing no code with ``gallery.sets.layered_space``.
+``staircases_reference`` scans every matrix for each vertical surjection,
+where ``gallery.vect.staircases`` reads them from a kernel index.
 """
 
 from collections import Counter
@@ -17,7 +19,16 @@ from itertools import permutations, product as iproduct
 from decspace import delta
 from decspace.gallery.forests import _forest_canon
 from decspace.gallery.graphs import _graph_canon
+from decspace.gallery.vect import _gap_validate, _kernel_key, _mul
 from decspace.groupoids import compose_functors, identity_functor
+from decspace.linalg_fq import (
+    all_matrices,
+    eye,
+    factor_through,
+    image_key,
+    injective_matrices,
+    rank,
+)
 
 
 def forest_cut_oracle(parents):
@@ -187,3 +198,80 @@ def keeps_edges(x, y, pi):
     return len(ex) == len(ey) and all(
         (min(pi[u], pi[v]), max(pi[u], pi[v])) in eyset for (u, v) in ex
     )
+
+
+def staircases_reference(q, dims):
+    """Every staircase whose layers have dimensions ``dims``, built row by row:
+    each vertical surjection is found by scanning all matrices of its shape
+    for rank and kernel at every prefix, and each finished grid is validated."""
+    n = len(dims)
+    pref = [0]
+    for c in dims:
+        pref.append(pref[-1] + c)
+    grid = tuple(
+        tuple(pref[j] - pref[i] for j in range(i, n + 1)) for i in range(n + 1)
+    )
+
+    def dim(i, j):
+        return grid[i][j - i]
+
+    row0_choices = [[tuple(() for _ in range(dim(0, 1)))]]
+    for j in range(1, n):
+        row0_choices.append(list(injective_matrices(dim(0, j + 1), dim(0, j), q)))
+
+    out = []
+
+    def row_comp_partial(row_h, i, j1, j2):
+        cur = eye(dim(i, j1))
+        for j in range(j1, j2):
+            cur = _mul(row_h[j - i], cur, dim(i, j + 1), dim(i, j), dim(i, j1), q)
+        return cur
+
+    def build_rows(h_rows, v_rows, i):
+        if i == n:
+            obj = (n, grid, tuple(tuple(r) for r in h_rows), tuple(tuple(r) for r in v_rows))
+            if _gap_validate(obj, q):
+                out.append(obj)
+            return
+
+        def choose_v(j, vs):
+            if j > n:
+                if i + 1 < n:
+                    h_next = []
+                    for jj in range(i + 1, n):
+                        upper = _mul(
+                            vs[jj + 1 - i - 1],
+                            h_rows[i][jj - i],
+                            dim(i + 1, jj + 1),
+                            dim(i, jj + 1),
+                            dim(i, jj),
+                            q,
+                        )
+                        g = factor_through(vs[jj - i - 1], upper, q)
+                        if g is None:
+                            return
+                        h_next.append(g)
+                    build_rows(h_rows + [h_next], v_rows + [vs], i + 1)
+                else:
+                    build_rows(h_rows, v_rows + [vs], i + 1)
+                return
+            if j == i + 1:
+                choose_v(j + 1, vs + [()])
+                return
+            target_kernel = (
+                image_key(row_comp_partial(h_rows[i], i, i + 1, j), q)
+                if dim(i, i + 1)
+                else ()
+            )
+            r, c = dim(i + 1, j), dim(i, j)
+            for v in all_matrices(r, c, q):
+                if rank(v, q) != r:
+                    continue
+                if _kernel_key(v, r, c, q) == target_kernel:
+                    choose_v(j + 1, vs + [v])
+
+        choose_v(i + 1, [])
+
+    for hs in iproduct(*row0_choices):
+        build_rows([list(hs)], [], 0)
+    return out

@@ -152,3 +152,24 @@ def test_negative_grade_bound_rejected(capsys, argv):
     assert main(argv.split()) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: --") and "must be >= 0" in err
+
+
+def test_corrupt_seed_without_inner_face_rejected(capsys):
+    assert main("check binomial all --level 1 --corrupt-seed 0".split()) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "no inner face" in captured.err
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "check binomial all --max 2 --nodes 3",
+        "coproduct forests --grade 2 --nodes 2",
+        "coassoc vect --dim 1 --grade 1 --vertices 1",
+    ],
+)
+def test_conflicting_grade_bounds_rejected(capsys, argv):
+    assert main(argv.split()) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: give one grade bound")

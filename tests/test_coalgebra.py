@@ -22,7 +22,7 @@ from decspace.coalgebra import (
     pushforward_hom,
 )
 from decspace.errors import GradeOverflow, LevelOutOfRange, MonoidalStructureMissing, UnsupportedField
-from decspace.gallery import binomial_B, forests_H, injections_I
+from decspace.gallery import binomial_B, forests_H, injections_I, vect_S
 from decspace.gallery.forests import render_forest_key
 from decspace.groupoids import GroupoidFunctor, name_functor
 from decspace.simplicial import (
@@ -278,12 +278,16 @@ def test_subspace_count_oracle():
         assert [subspace_count_oracle(n, k, q) for n in range(4) for k in range(n + 1)] == expected
 
 
-def test_hall_matches_machinery_coefficient(vect22):
-    mat = comultiplication(vect22, 2)
-    two = next(e.key for e in basis(vect22, 2) if e.grade == 2)
-    one = next(e.key for e in basis(vect22, 2) if e.grade == 1)
-    col = mat.column(two)
-    assert col[(one, one)] == hall_number(2, 2, 1).coefficient
+def test_hall_matches_machinery_coefficient():
+    """hall_number equals the (F^k, F^{n-k}) entry of the F^n column of the
+    comultiplication of the S-construction, computed through its d_1-fibre."""
+    for q in (2, 3):
+        for n in range(3):
+            V = vect_S(q, n, 2)
+            key = {e.grade: e.key for e in basis(V, n)}
+            col = comultiplication(V, n).column(key[n])
+            for k in range(n + 1):
+                assert col[(key[k], key[n - k])] == hall_number(q, n, k).coefficient, (q, n, k)
 
 
 def test_gaussian_binomial_symmetry():

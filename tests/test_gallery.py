@@ -28,6 +28,7 @@ from decspace.gallery import (
     vect_S,
 )
 from decspace.gallery.posets import PosetSpec, chain_poset, divisibility_poset
+from decspace.gallery.vect import _compositions, staircases
 from decspace.linalg_fq import general_linear, mat_mul
 from decspace.groupoids import (
     generating_arrows,
@@ -52,6 +53,7 @@ from oracles import (
     keeps_parents,
     ladder_isos_reference,
     layer_perms_reference,
+    staircases_reference,
 )
 
 
@@ -439,6 +441,15 @@ def test_vect_classes(vect22):
     assert [c.aut_order for c in table] == [1, 1, 6]
     assert check_decomposition(vect22).passed
     assert not check_segal(vect22).passed
+
+
+def test_staircases_match_reference_scan():
+    """The kernel-indexed builder yields the same staircases in the same order
+    as a scan of every matrix, for every layer-dimension composition."""
+    cases = [(2, 1, 3), (2, 2, 3), (2, 3, 2), (3, 1, 2), (3, 2, 2)]
+    for q, level, bound in cases:
+        for dims in _compositions(level, bound):
+            assert list(staircases(q, dims)) == staircases_reference(q, dims), (q, dims)
 
 
 def test_vect_unsupported_field():

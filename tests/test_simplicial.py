@@ -345,6 +345,12 @@ def test_decalage_characterization(binomial3, forests3):
         check_decalage(binomial_B(2, 2))
 
 
+def test_corruption_needs_an_inner_face():
+    for N in (0, 1):
+        with pytest.raises(LevelOutOfRange):
+            corrupted_variant(binomial_B(3, N), 0)
+
+
 def test_decalage_negative_controls(binomial3):
     for seed in range(3):
         Xc, _ = corrupted_variant(binomial3, seed)
