@@ -57,6 +57,8 @@ def build_space(args) -> tuple:
     if len(flags) > 1:
         raise DecspaceError(f"give one grade bound, got {' and '.join(flags)}")
     if name.startswith("poset:"):
+        if flags:
+            raise DecspaceError(f"{flags[0]} does not apply to a poset space")
         spec = PosetSpec.from_file(name.split(":", 1)[1])
         return nerve_of_poset(spec, level), 0
     if bound is None:

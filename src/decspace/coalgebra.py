@@ -26,7 +26,6 @@ from .groupoids import (
     groupoid_cardinality,
     homotopy_fibre,
     iso_classes,
-    preimage_buckets,
 )
 from .gallery.vect import staircases
 from .linalg_fq import check_field, general_linear, gl_order
@@ -170,10 +169,9 @@ def delta_n(X: TruncSimpGrpd, n: int, grade_bound: int) -> SparseMat:
     active = delta.DeltaMap(1, n, (0, n)) if n >= 1 else delta.DeltaMap(1, 0, (0, 0))
     collapse = evaluate(X, active)
     edges = [evaluate(X, delta.DeltaMap(1, n, (i - 1, i))) for i in range(1, n + 1)]
-    buckets = preimage_buckets(collapse)  # X_1 has canon keys: keyed like the basis
     mat = SparseMat()
     for f in basis(X, grade_bound):
-        fib = homotopy_fibre(collapse, f.rep, candidates=buckets.get(f.key, ()))
+        fib = homotopy_fibre(collapse, f.rep)
         for cls in iso_classes(fib):
             y, _ = cls.rep
             row = tuple(canon(e.obj(y)) for e in edges)

@@ -9,8 +9,10 @@ here, the injection strings and the strings of injective linear maps.
 
 from __future__ import annotations
 
+from functools import cache
+
 from ..errors import InvalidCategory
-from ..groupoids import FiniteGroupoid, ladders, memo_hom
+from ..groupoids import FiniteGroupoid, ladders
 from ..simplicial import TruncSimpGrpd, simplicial_space
 
 
@@ -70,7 +72,7 @@ def string_nerve(
     sequence), one per node, whose squares commute under the arrow
     composition ``compose(g, f)``; ladders compose, invert and start at
     ``identity(node)`` entrywise.  Hom-sets are memoized per pair of strings
-    in a dict that lives and dies with the space.
+    by a ``functools.cache`` that lives and dies with the space.
     """
 
     def ladder_isos(s, t):
@@ -80,7 +82,7 @@ def string_nerve(
             lambda j, a, b: compose(b, fs[j - 1]) == compose(gs[j - 1], a),
         )
 
-    hom = memo_hom(ladder_isos)
+    hom = cache(ladder_isos)
     strings = [((x,), ()) for x in starts]
     levels = []
     for k in range(N + 1):

@@ -27,19 +27,23 @@ class PosetSpec:
         ``#`` comments ignored."""
         elements: list = []
         pairs = set()
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                sides = [x.strip() for x in line.split("<")]
-                if len(sides) != 2 or not all(sides):
-                    raise NotAPoset(f"cannot parse line {line!r}")
-                a, b = sides
-                for x in (a, b):
-                    if x not in elements:
-                        elements.append(x)
-                pairs.add((a, b))
+        try:
+            with open(path, encoding="utf-8") as fh:
+                lines = fh.read().split("\n")
+        except UnicodeDecodeError as exc:
+            raise NotAPoset(f"{path} is not UTF-8 text: {exc}") from None
+        for line in lines:
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            sides = [x.strip() for x in line.split("<")]
+            if len(sides) != 2 or not all(sides):
+                raise NotAPoset(f"cannot parse line {line!r}")
+            a, b = sides
+            for x in (a, b):
+                if x not in elements:
+                    elements.append(x)
+            pairs.add((a, b))
         return cls(tuple(elements), frozenset(pairs))
 
     def closure(self) -> frozenset:

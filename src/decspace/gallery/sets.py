@@ -13,9 +13,10 @@ under disjoint union in a strict skeletal presentation.
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import combinations, permutations, product as iproduct
 
-from ..groupoids import FiniteGroupoid, GroupoidFunctor, discrete_groupoid, memo_hom
+from ..groupoids import FiniteGroupoid, GroupoidFunctor, discrete_groupoid
 from ..simplicial import SimpMap, TruncSimpGrpd, dec, simplicial_space
 from .fatnerve import string_nerve, string_nerve_rules
 
@@ -116,7 +117,7 @@ def layered_space(
     ``admissible(obj)`` accepts (any, when None), in lexicographic order,
     keyed by ``canon_key(k)``.  Arrows x -> y are the layer-preserving
     permutations pi with ``keeps(x, y, pi)``, in lexicographic order,
-    memoized per pair of objects in a dict that lives with the space.
+    memoized per pair of objects by a ``functools.cache`` made per space.
     Faces and degeneracies are ``layered_rules(induced, mirrored)``; the
     monoidal rule is ``union`` with ``union_amap``, unit ``unit_key``."""
 
@@ -129,7 +130,7 @@ def layered_space(
             perms = [p + (v,) for p in perms for v in range(m) if ly[v] == lay and v not in p]
         return tuple(pi for pi in perms if keeps(x, y, pi))
 
-    hom = memo_hom(search)
+    hom = cache(search)
     levels = []
     for k in range(N + 1):
         objects = [

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Callable, Iterable
 
 from .errors import NonCommutingSquare, ObjectNotFound, TargetMismatch
@@ -139,12 +140,25 @@ class GroupoidFunctor:
         self._omap = omap
         self._amap = amap
         self.name = name
+        self._preimages = None
 
     def obj(self, x):
         return self._omap(x)
 
     def arr(self, x, y, data):
         return self._amap(x, y, data)
+
+    def preimages(self, s):
+        """The source objects whose image has the target bucket key of ``s``,
+        in object order.  Bucket keys are iso-invariant, so the homotopy
+        fibre over ``s`` only has objects from here.  The index of every
+        bucket is built on first use and lives as long as the functor."""
+        if self._preimages is None:
+            key = self.target.bucket_key
+            self._preimages = {}
+            for x in self.source.objects:
+                self._preimages.setdefault(key(self.obj(x)), []).append(x)
+        return self._preimages.get(self.target.bucket_key(s), ())
 
     def __repr__(self):
         return f"GroupoidFunctor({self.name or '?'}: {self.source.name} -> {self.target.name})"
@@ -204,35 +218,27 @@ def iso_classes(G: FiniteGroupoid) -> IsoClassTable:
     """
     if G._classes is not None:
         return G._classes
-    groups: dict = {}
-    if G.canon_key is not None:
-        for x in G.objects:
-            groups.setdefault(G.canon_key(x), []).append(x)
-        items = sorted(groups.items(), key=lambda kv: _ordkey(kv[0]))
-        classes = []
-        for key, members in items:
+    # a canonical key is the bucket key and decides membership on its own;
+    # otherwise isomorphism is an equivalence relation, so one arrow search
+    # against the first member of each class already found in the bucket
+    # decides it: at most (bucket size) x (classes in bucket) searches
+    canon = G.canon_key is not None
+    buckets: dict = {}
+    for x in G.objects:
+        found = buckets.setdefault(G.bucket_key(x), [])
+        for members in found:
+            if canon or G.some_iso(members[0], x) is not None:
+                members.append(x)
+                break
+        else:
+            found.append([x])
+    classes = []
+    for key, found in buckets.items():
+        for members in found:
             members.sort(key=_ordkey)
             rep = members[0]
-            classes.append(IsoClass(rep, tuple(members), G.hom_size(rep, rep), key))
-    else:
-        # isomorphism is an equivalence relation, so one arrow search against
-        # the first member of each class already found in the bucket decides
-        # membership: at most (bucket size) x (classes in bucket) searches
-        buckets: dict = {}
-        for x in G.objects:
-            found = buckets.setdefault(G.bucket_key(x), [])
-            for members in found:
-                if G.some_iso(members[0], x) is not None:
-                    members.append(x)
-                    break
-            else:
-                found.append([x])
-        classes = []
-        for members in (m for found in buckets.values() for m in found):
-            members.sort(key=_ordkey)
-            rep = members[0]
-            classes.append(IsoClass(rep, tuple(members), G.hom_size(rep, rep), rep))
-        classes.sort(key=lambda c: _ordkey(c.key))
+            classes.append(IsoClass(rep, tuple(members), G.hom_size(rep, rep), key if canon else rep))
+    classes.sort(key=lambda c: _ordkey(c.key))
     table = IsoClassTable(classes)
     G._classes = table
     return table
@@ -465,22 +471,6 @@ def ladders(choices, commutes) -> tuple:
     return tuple(out)
 
 
-def memo_hom(search: Callable) -> Callable:
-    """The hom-set function ``search(x, y)``, computed once per pair of
-    objects in a dict that lives as long as the returned function, so as
-    long as the space whose levels hold it."""
-    homs: dict = {}
-
-    def hom(x, y):
-        try:
-            return homs[x, y]
-        except KeyError:
-            found = homs[x, y] = search(x, y)
-            return found
-
-    return hom
-
-
 def _always(j, f, g):
     return True
 
@@ -606,12 +596,12 @@ def homotopy_pullback(p: GroupoidFunctor, q: GroupoidFunctor):
     return P, proj_x, proj_y
 
 
-def homotopy_fibre(p: GroupoidFunctor, s, candidates=None) -> FiniteGroupoid:
+def homotopy_fibre(p: GroupoidFunctor, s) -> FiniteGroupoid:
     """Homotopy fibre of p: X -> S over the object s of S.
 
     This is the pullback of p against the name functor 1 -> S at s, with the
     contractible component dropped from the payload: objects are pairs
-    (x, sigma: p(x) -> s).  ``candidates`` optionally restricts the x search.
+    (x, sigma: p(x) -> s), with x from ``p.preimages(s)``.
 
     An arrow (x1, s1) -> (x2, s2) is an arrow g: x1 -> x2 with
     s2 . p(g) = s1, i.e. p(g) = s2^{-1} . s1; the p-images of each parent
@@ -621,21 +611,14 @@ def homotopy_fibre(p: GroupoidFunctor, s, candidates=None) -> FiniteGroupoid:
     X, S = p.source, p.target
     if not S.has_object(s):
         raise ObjectNotFound(f"{s!r} is not an object of {S.name}")
-    pool = X.objects if candidates is None else candidates
-    objects = [(x, sigma) for x in pool for sigma in S.hom(p.obj(x), s)]
+    objects = [(x, sigma) for x in p.preimages(s) for sigma in S.hom(p.obj(x), s)]
 
-    transport_cache: dict = {}
-
+    @cache
     def transported(x1, x2):
-        try:
-            return transport_cache[(x1, x2)]
-        except KeyError:
-            table: dict = {}
-            for g in X.hom(x1, x2):
-                table.setdefault(p.arr(x1, x2, g), []).append(g)
-            table = {k: tuple(v) for k, v in table.items()}
-            transport_cache[(x1, x2)] = table
-            return table
+        table: dict = {}
+        for g in X.hom(x1, x2):
+            table.setdefault(p.arr(x1, x2, g), []).append(g)
+        return {k: tuple(v) for k, v in table.items()}
 
     def hom(o1, o2):
         x1, s1 = o1
@@ -714,14 +697,20 @@ def is_pullback_square(
     return _is_pullback_fibrewise(sq, glue_bound)
 
 
-def preimage_buckets(F: GroupoidFunctor) -> dict:
-    """Source objects of F grouped by the target bucket key of their image,
-    each group in object order.  Bucket keys are iso-invariant, so the fibre
-    of F over s only has objects from the group at ``bucket_key(s)``."""
-    buckets: dict = {}
-    for x in F.source.objects:
-        buckets.setdefault(F.target.bucket_key(F.obj(x)), []).append(x)
-    return buckets
+def full_subgroupoid(G: FiniteGroupoid, objects) -> FiniteGroupoid:
+    """The full subgroupoid of G on ``objects``, with G's name, arrows,
+    grading and keys."""
+    return FiniteGroupoid(
+        G.name,
+        objects,
+        G.hom,
+        G.compose,
+        G.inverse,
+        G.identity,
+        grade=G.grade,
+        canon_key=G.canon_key,
+        bucket_key=G._bucket_key,
+    )
 
 
 def fibrewise_equivalence(
@@ -734,11 +723,9 @@ def fibrewise_equivalence(
     functor out of it; the verdict holds when every such functor is an
     equivalence.  Returns the first failure as "fibre over xbar: witness".
     """
-    X = left.target
-    buckets = preimage_buckets(left)
-    for cls in iso_classes(X):
+    for cls in iso_classes(left.target):
         xbar = cls.rep
-        fib = homotopy_fibre(left, xbar, candidates=buckets.get(X.bucket_key(xbar), ()))
+        fib = homotopy_fibre(left, xbar)
         ok, wit = is_equivalence(compare(xbar, fib))
         if not ok:
             return False, f"fibre over {xbar!r}: {wit}"
@@ -749,15 +736,13 @@ def _is_pullback_fibrewise(sq: GroupoidSquare, glue_bound: int | None) -> tuple[
     X = sq.left.target
     Y = sq.top.target
     S = sq.right.target
-    y_by_target = preimage_buckets(sq.right)
 
     def compare(xbar, fib_a):
         s_obj = sq.bottom.obj(xbar)
-        pool = y_by_target.get(S.bucket_key(s_obj), ())
+        fib_y = homotopy_fibre(sq.right, s_obj)
         if glue_bound is not None:
             allowance = glue_bound - X.grade(xbar) + S.grade(s_obj)
-            pool = [y for y in pool if Y.grade(y) <= allowance]
-        fib_y = homotopy_fibre(sq.right, s_obj, candidates=pool)
+            fib_y = full_subgroupoid(fib_y, [o for o in fib_y.objects if Y.grade(o[0]) <= allowance])
         return GroupoidFunctor(
             fib_a,
             fib_y,
@@ -776,21 +761,11 @@ def _is_pullback_literal(sq: GroupoidSquare, glue_bound: int | None) -> tuple[bo
     S = sq.right.target
     P, _, _ = homotopy_pullback(sq.bottom, sq.right)
     if glue_bound is not None:
-        keep = [
+        P = full_subgroupoid(P, [
             o
             for o in P.objects
             if X.grade(o[0]) + Y.grade(o[1]) - S.grade(sq.bottom.obj(o[0])) <= glue_bound
-        ]
-        P = FiniteGroupoid(
-            P.name,
-            keep,
-            P.hom,
-            P.compose,
-            P.inverse,
-            P.identity,
-            grade=P.grade,
-            bucket_key=P.bucket_key,
-        )
+        ])
     kappa = GroupoidFunctor(
         A,
         P,

@@ -30,7 +30,6 @@ from .groupoids import (
     is_equivalence,
     is_pullback_square,
     ladders,
-    preimage_buckets,
     product_list,
     terminal_groupoid,
 )
@@ -48,9 +47,10 @@ class TruncSimpGrpd:
     unit basis element.  ``monoidal`` builds the SimpMap from ``mu``.
 
     ``verdicts`` memoizes square verdicts of this space by
-    ``(DeltaSquare, glue bound)``, and ``decs`` the ``dec`` result per side.
-    Neither is an init field, so every new space (``replace``, ``truncate``,
-    ``dec``, a corruption) starts empty.
+    ``(DeltaSquare, glue bound)``, ``decs`` the ``dec`` result per side, and
+    ``evaluated`` the functor X(f) per simplex map f.  None is an init
+    field, so every new space (``replace``, ``truncate``, ``dec``, a
+    corruption) starts empty.
     """
 
     name: str
@@ -64,6 +64,7 @@ class TruncSimpGrpd:
     unit_key: object = None
     verdicts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     decs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    evaluated: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @cached_property
     def monoidal(self) -> SimpMap | None:
@@ -289,8 +290,11 @@ def evaluate(X: TruncSimpGrpd, f: DeltaMap) -> GroupoidFunctor:
     """The contravariant action X(f): X_cod -> X_dom for any monotone map.
 
     Applies the generator images in turn, in one functor; strictness makes
-    the result independent of the chosen decomposition.
+    the result independent of the chosen decomposition.  Built once per
+    space and kept in ``X.evaluated``, with its preimage index.
     """
+    if f in X.evaluated:
+        return X.evaluated[f]
     if f.dom > X.N or f.cod > X.N:
         raise LevelOutOfRange(f"{f} does not fit in truncation 0..{X.N}")
     gens = []
@@ -312,7 +316,8 @@ def evaluate(X: TruncSimpGrpd, f: DeltaMap) -> GroupoidFunctor:
             x, y, d = G.obj(x), G.obj(y), G.arr(x, y, d)
         return d
 
-    return GroupoidFunctor(X.level(f.cod), X.level(f.dom), omap, amap, name=f"X({f})")
+    F = X.evaluated[f] = GroupoidFunctor(X.level(f.cod), X.level(f.dom), omap, amap, name=f"X({f})")
+    return F
 
 
 # ---------------------------------------------------------------------------
@@ -480,7 +485,6 @@ def check_decomposition_active(X: TruncSimpGrpd) -> CheckReport:
     if X.N < 1:
         raise LevelOutOfRange("need at least one level")
     report = CheckReport("decomposition-active", X.name, X.N, X.grade_bound)
-    split_index: dict = {}  # split map s: [1] -> [m_i]  ->  (X(s), its preimage buckets)
     for data in delta.active_map_squares(X.N):
         g = data.g
         n, m = g.dom, g.cod
@@ -488,18 +492,13 @@ def check_decomposition_active(X: TruncSimpGrpd) -> CheckReport:
         left = evaluate(X, g)
         windows = [evaluate(X, w) for w in data.windows]
         edges = [evaluate(X, e) for e in data.edges]
-        for s in set(data.splits) - split_index.keys():
-            S = evaluate(X, s)
-            split_index[s] = S, preimage_buckets(S)
-        splits = [split_index[s] for s in data.splits]
+        splits = [evaluate(X, s) for s in data.splits]
 
         def compare(xbar, fib_a):
-            comp_fibs = []
-            for (split, buckets), edge in zip(splits, edges):
-                e = edge.obj(xbar)
-                pool = buckets.get(split.target.bucket_key(e), ())
-                comp_fibs.append(homotopy_fibre(split, e, candidates=pool))
-            fib_y = product_list(comp_fibs, name="prod-fibre")
+            fib_y = product_list(
+                [homotopy_fibre(split, edge.obj(xbar)) for split, edge in zip(splits, edges)],
+                name="prod-fibre",
+            )
 
             def omap(o):
                 a, tau = o

@@ -10,6 +10,8 @@ code with ``groupoids.ladders``, and ``layer_perms_reference`` filters every
 permutation of the labels, sharing no code with ``gallery.sets.layered_space``.
 ``staircases_reference`` scans every matrix for each vertical surjection,
 where ``gallery.vect.staircases`` reads them from a kernel index.
+``fibre_by_scan`` reads every source object, where ``homotopy_fibre`` reads
+the functor's preimage index.
 """
 
 from collections import Counter
@@ -121,6 +123,13 @@ def equivalence_oracle(F):
             if len(img) != len(src) or img != tgt:
                 return False
     return True
+
+
+def fibre_by_scan(F, s):
+    """The objects (x, sigma: F x -> s) of the homotopy fibre of F over s,
+    from a scan of every source object and its target hom-set to s, in
+    source object order."""
+    return tuple((x, sigma) for x in F.source.objects for sigma in F.target.hom(F.obj(x), s))
 
 
 def evaluate_by_composition(X, f):

@@ -137,6 +137,28 @@ def test_missing_poset_file(capsys):
     assert code == 2
 
 
+def test_poset_file_not_utf8_rejected(tmp_path, capsys):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"0 < 1\n1 < \xff\n")
+    assert main(["check", f"poset:{path}", "all"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {path} is not UTF-8 text")
+
+
+@pytest.mark.parametrize("flag", ["--grade", "--max", "--nodes", "--vertices", "--dim"])
+def test_grade_flag_on_poset_rejected(tmp_path, capsys, flag):
+    path = tmp_path / "chain2.txt"
+    path.write_text("0 < 1\n1 < 2\n")
+    assert main(["check", f"poset:{path}", "segal", flag, "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {flag} does not apply to a poset space\n"
+    # the negative-bound and one-bound checks come first
+    assert main(["check", f"poset:{path}", "segal", flag, "-1"]) == 2
+    assert "must be >= 0" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -40,6 +40,7 @@ from decspace.simplicial import (
     segal_power,
     simplicial_space,
     terminal_space,
+    truncate,
     validate_simplicial,
 )
 
@@ -96,6 +97,7 @@ def test_evaluate_identity(binomial3):
 def test_evaluate_composite_matches_pointwise(binomial3):
     f = delta.compose(delta.codegeneracy(0, 1), delta.coface(1, 2))  # id on [1]
     F = evaluate(binomial3, f)
+    assert evaluate(binomial3, f) is F  # built once per space
     for x in binomial3.level(1).objects:
         assert F.obj(x) == x
 
@@ -470,13 +472,39 @@ def test_second_decalage_check_decides_no_segal_square_again(decided):
     assert any(d.startswith("naturality of") for d in decided)
 
 
+def test_second_active_check_builds_no_preimage_index(monkeypatch):
+    built = []
+    real = GroupoidFunctor.preimages
+
+    def counting(F, s):
+        before = F._preimages
+        found = real(F, s)
+        if F._preimages is not before:
+            built.append(F.name)
+        return found
+
+    monkeypatch.setattr(GroupoidFunctor, "preimages", counting)
+    X = binomial_B(3, 3)
+    first = check_decomposition_active(X)
+    assert built
+    assert len(built) == len(set(built))  # one index per X(f)
+    built.clear()
+    assert check_decomposition_active(X) == first
+    assert not built
+
+
 def test_new_spaces_start_with_an_empty_memo(binomial3):
     assert check_decomposition(binomial3).passed
     assert binomial3.verdicts
+    assert binomial3.evaluated
     dec(binomial3, "top")
+    Xt = truncate(binomial3, binomial3.N)
+    for Y in (Xt, dec(Xt, "top")[0]):
+        assert Y.evaluated == {}
     Xc, _ = corrupted_variant(binomial3, 0)
     Xr = replace(binomial3, faces=Xc.faces)
     for Y in (Xc, Xr):
         assert Y.verdicts == {}
         assert Y.decs == {}
+        assert Y.evaluated == {}
         assert not check_decomposition(Y).passed
