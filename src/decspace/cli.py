@@ -24,6 +24,8 @@ from .gallery import (
     nerve_of_poset,
     vect_S,
 )
+from .gallery.forests import render_forest_key
+from .gallery.graphs import render_graph_key
 from .report import CheckReport
 from .simplicial import (
     check_decalage,
@@ -34,7 +36,16 @@ from .simplicial import (
 )
 
 DEFAULT_LEVEL = 3
-DEFAULT_BOUNDS = {"binomial": 4, "injections": 3, "forests": 4, "graphs": 3, "vect": 2}
+# One entry per named space: (default grade bound, constructor from
+# (grade bound, level, q), rendering of a level-1 iso-class key).  Spaces
+# carry no presentation; only `coproduct` prints a key.
+FAMILIES = {
+    "binomial": (4, lambda b, n, q: binomial_B(b, n), lambda k: str(k[0])),
+    "injections": (3, lambda b, n, q: injections_I(b, n)[0], lambda k: f"{k[0]}->{k[1]}"),
+    "forests": (4, lambda b, n, q: forests_H(b, n), render_forest_key),
+    "graphs": (3, lambda b, n, q: graphs_G(b, n), render_graph_key),
+    "vect": (2, lambda b, n, q: vect_S(q, b, n), lambda k: str(k[0][-1])),
+}
 
 
 def fmt_fraction(x: Fraction) -> str:
@@ -42,9 +53,9 @@ def fmt_fraction(x: Fraction) -> str:
 
 
 def build_space(args) -> tuple:
-    """Resolve the space argument to (TruncSimpGrpd, grade bound)."""
+    """Resolve the space argument to (TruncSimpGrpd, grade bound, level-1 key
+    renderer)."""
     name = args.space
-    level = args.level
     bound = None
     flags = []
     for flag in ("grade", "max", "nodes", "vertices", "dim"):
@@ -59,23 +70,21 @@ def build_space(args) -> tuple:
     if name.startswith("poset:"):
         if flags:
             raise DecspaceError(f"{flags[0]} does not apply to a poset space")
-        spec = PosetSpec.from_file(name.split(":", 1)[1])
-        return nerve_of_poset(spec, level), 0
-    if bound is None:
-        bound = DEFAULT_BOUNDS.get(name)
-    makers = {
-        "binomial": lambda: binomial_B(bound, level),
-        "injections": lambda: injections_I(bound, level)[0],
-        "forests": lambda: forests_H(bound, level),
-        "graphs": lambda: graphs_G(bound, level),
-        "vect": lambda: vect_S(args.q, bound, level),
-    }
-    if name not in makers:
+        path = name.split(":", 1)[1]
+        default, make = 0, lambda b, n, q: nerve_of_poset(PosetSpec.from_file(path), n)
+        render = lambda k: f"{k[0]}<={k[1]}"
+    elif name in FAMILIES:
+        default, make, render = FAMILIES[name]
+    else:
         raise DecspaceError(f"unknown space {name!r}")
-    space = makers[name]()
-    if getattr(args, "corrupt_seed", None) is not None:
+    if args.q is not None and name != "vect":
+        raise DecspaceError("--q applies only to vect")
+    if bound is None:
+        bound = default
+    space = make(bound, args.level, 2 if args.q is None else args.q)
+    if args.corrupt_seed is not None:
         space, _ = corrupted_variant(space, args.corrupt_seed)
-    return space, bound
+    return space, bound, render
 
 
 def _add_space_args(p):
@@ -86,7 +95,7 @@ def _add_space_args(p):
     p.add_argument("--nodes", type=int, default=None, help="alias for --grade (forests)")
     p.add_argument("--vertices", type=int, default=None, help="alias for --grade (graphs)")
     p.add_argument("--dim", type=int, default=None, help="alias for --grade (vect)")
-    p.add_argument("--q", type=int, default=2)
+    p.add_argument("--q", type=int, default=None, help="field size (vect only, default 2)")
     p.add_argument("--format", choices=("json", "csv", "text"), default="text")
     p.add_argument(
         "--corrupt-seed",
@@ -112,7 +121,7 @@ def _emit_reports(reports: list[CheckReport], fmt: str) -> None:
 
 
 def cmd_check(args) -> int:
-    space, _ = build_space(args)
+    space, _, _ = build_space(args)
     checks = {
         "segal": check_segal,
         "decomposition": check_decomposition,
@@ -129,17 +138,16 @@ def cmd_check(args) -> int:
 
 
 def cmd_coproduct(args) -> int:
-    space, bound = build_space(args)
+    space, bound, render = build_space(args)
     mat = comultiplication(space, bound)
     rows = sorted(
-        ((space.render_key(f), space.render_key(a), space.render_key(b), coeff)
-         for ((a, b), f), coeff in mat.entries.items()),
+        ((render(f), render(a), render(b), coeff) for ((a, b), f), coeff in mat.entries.items()),
         key=lambda r: (r[0], r[1], r[2]),
     )
     if args.element is not None:
         rows = [r for r in rows if r[0] == args.element]
         if not rows:
-            valid = sorted({space.render_key(f) for ((a, b), f) in mat.entries})
+            valid = sorted({render(f) for ((a, b), f) in mat.entries})
             raise UnknownKey(
                 f"element {args.element!r} not found; known keys: {', '.join(valid)}"
             )
@@ -171,7 +179,7 @@ def cmd_hall(args) -> int:
 
 
 def cmd_coassoc(args) -> int:
-    space, bound = build_space(args)
+    space, bound, _ = build_space(args)
     report = check_coassociativity(space, bound)
     _emit_reports([report], args.format)
     return 0 if report.passed else 1

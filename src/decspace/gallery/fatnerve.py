@@ -61,7 +61,6 @@ def string_nerve(
     grade=None,
     canon_key=None,
     bucket_key=None,
-    key_renderer=None,
 ) -> TruncSimpGrpd:
     """The nerve of strings of composable arrows, truncated at level N.
 
@@ -103,13 +102,7 @@ def string_nerve(
                 bucket_key=bucket_key,
             )
         )
-    return simplicial_space(
-        name,
-        levels,
-        *string_nerve_rules(compose, identity),
-        grade_bound,
-        key_renderer=key_renderer,
-    )
+    return simplicial_space(name, levels, *string_nerve_rules(compose, identity), grade_bound)
 
 
 class FinCat:

@@ -97,7 +97,7 @@ def forests_H(max_nodes: int, N: int) -> TruncSimpGrpd:
     return layered_space(
         "forests", "H", lambda m: [(p,) for p in _labeled_forests(m)], _keeps_parents,
         lambda k: _forest_canon, _h_induced, _h_union, (), max_nodes, N,
-        admissible=_admissible, mirrored=True, key_renderer=render_forest_key,
+        admissible=_admissible, mirrored=True,
     )
 
 

@@ -79,7 +79,6 @@ def graphs_G(max_vertices: int, N: int) -> TruncSimpGrpd:
     return layered_space(
         "graphs", "G", lambda m: [(edges,) for edges in _graphs(m)], _keeps_edges,
         lambda k: _graph_canon, _g_induced, _g_union, (0, (), ()), max_vertices, N,
-        key_renderer=render_graph_key,
     )
 
 

@@ -98,5 +98,4 @@ def nerve_of_poset(spec: PosetSpec, N: int) -> TruncSimpGrpd:
         lambda n, i: (lambda c: c[:i] + c[i + 1 :], discrete),
         lambda n, i: (lambda c: c[: i + 1] + c[i:], discrete),
         0,
-        key_renderer=lambda k: f"{k[0]}<={k[1]}" if len(k) == 2 else str(k),
     )

@@ -109,7 +109,7 @@ def union_amap(xs, ys, ds):
 
 def layered_space(
     name, level_name, middles, keeps, canon_key, induced, union, unit_key,
-    grade_bound: int, N: int, admissible=None, mirrored: bool = False, key_renderer=None,
+    grade_bound: int, N: int, admissible=None, mirrored: bool = False,
 ) -> TruncSimpGrpd:
     """The layered family whose level k, named ``{level_name}_{k}``, holds
     the objects ``(m, *middle, layers)``: m up to ``grade_bound``, a middle
@@ -151,9 +151,7 @@ def layered_space(
                 canon_key=canon_key(k),
             )
         )
-    X = simplicial_space(
-        name, levels, *layered_rules(induced, mirrored), grade_bound, key_renderer=key_renderer
-    )
+    X = simplicial_space(name, levels, *layered_rules(induced, mirrored), grade_bound)
     X.mu = (union, union_amap)
     X.unit_key = unit_key
     return X
@@ -174,7 +172,6 @@ def binomial_B(max_size: int, N: int) -> TruncSimpGrpd:
         "binomial", "B", lambda m: [()], lambda x, y, pi: True,
         lambda k: lambda x: tuple(x[1].count(j) for j in range(1, k + 1)),
         lambda obj, keep: (), _b_union, (0,), max_size, N,
-        key_renderer=lambda key: str(key[0]) if len(key) == 1 else str(key),
     )
 
 
@@ -200,7 +197,6 @@ def _injection_strings(max_size: int, N: int) -> TruncSimpGrpd:
         max_size,
         grade=lambda x: x[0][-1],
         canon_key=lambda x: x[0],
-        key_renderer=lambda key: f"{key[0]}->{key[1]}" if len(key) == 2 else str(key),
     )
 
 
@@ -284,7 +280,6 @@ def oi_space(max_size: int, N: int) -> TruncSimpGrpd:
         (discrete_groupoid(f"OI_{k}", L.objects, grade=L.grade) for k, L in enumerate(I.levels)),
         *string_nerve_rules(_perm_compose, _ordinal),
         max_size,
-        key_renderer=I.key_renderer,
     )
 
 

@@ -356,7 +356,6 @@ def vect_S(q: int, max_total_dim: int, N: int) -> TruncSimpGrpd:
         lambda n, i: reindex(delta.coface(i, n)),
         lambda n, i: reindex(delta.codegeneracy(i, n)),
         max_total_dim,
-        key_renderer=lambda key: str(key[0][-1]),
     )
 
 
@@ -381,7 +380,6 @@ def mono_nerve(q: int, bound: int, N: int) -> TruncSimpGrpd:
         bound,
         grade=lambda x: x[0][-1],
         canon_key=lambda x: x[0],
-        key_renderer=lambda key: "<=".join(str(d) for d in key),
     )
 
 

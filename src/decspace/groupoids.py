@@ -79,9 +79,6 @@ class FiniteGroupoid:
     def has_object(self, x) -> bool:
         return x in self._object_set
 
-    def hom_size(self, x, y) -> int:
-        return len(self.hom(x, y))
-
     def some_iso(self, x, y):
         h = self.hom(x, y)
         return h[0] if h else None
@@ -99,32 +96,6 @@ class FiniteGroupoid:
             for y in self.objects:
                 for d in self.hom(x, y):
                     yield (x, y, d)
-
-    @classmethod
-    def from_arrow_table(
-        cls,
-        name: str,
-        objects: Iterable,
-        hom_table: dict,
-        compose: Callable,
-        inverse: Callable,
-        identity: Callable,
-        grade: Callable | None = None,
-        canon_key: Callable | None = None,
-        bucket_key: Callable | None = None,
-    ) -> "FiniteGroupoid":
-        """Groupoid from an explicit (src, tgt) -> arrows dictionary."""
-        return cls(
-            name,
-            objects,
-            lambda x, y: hom_table.get((x, y), ()),
-            compose,
-            inverse,
-            identity,
-            grade=grade,
-            canon_key=canon_key,
-            bucket_key=bucket_key,
-        )
 
 
 class GroupoidFunctor:
@@ -237,7 +208,7 @@ def iso_classes(G: FiniteGroupoid) -> IsoClassTable:
         for members in found:
             members.sort(key=_ordkey)
             rep = members[0]
-            classes.append(IsoClass(rep, tuple(members), G.hom_size(rep, rep), key if canon else rep))
+            classes.append(IsoClass(rep, tuple(members), len(G.hom(rep, rep)), key if canon else rep))
     classes.sort(key=lambda c: _ordkey(c.key))
     table = IsoClassTable(classes)
     G._classes = table

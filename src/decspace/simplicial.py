@@ -59,7 +59,6 @@ class TruncSimpGrpd:
     faces: dict
     degens: dict
     grade_bound: int
-    key_renderer: object = None
     mu: object = None
     unit_key: object = None
     verdicts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -93,11 +92,6 @@ class TruncSimpGrpd:
         if not (0 <= n < self.N and 0 <= i <= n):
             raise LevelOutOfRange(f"degeneracy s_{i} at level {n} out of range")
         return self.degens[(n, i)]
-
-    def render_key(self, key) -> str:
-        if self.key_renderer is not None:
-            return self.key_renderer(key)
-        return str(key)
 
 
 @dataclass
@@ -159,7 +153,7 @@ def _tabulated(source, target, omap, amap, name) -> GroupoidFunctor:
     return GroupoidFunctor(source, target, obj, amap, name=name)
 
 
-def simplicial_space(name, levels, face, degen, grade_bound, key_renderer=None) -> TruncSimpGrpd:
+def simplicial_space(name, levels, face, degen, grade_bound) -> TruncSimpGrpd:
     """The space with the given levels X_0..X_N whose face d_i: X_n -> X_{n-1}
     and degeneracy s_i: X_n -> X_{n+1} have the (omap, amap) pairs
     ``face(n, i)`` and ``degen(n, i)``; each rule is called once per pair,
@@ -176,7 +170,7 @@ def simplicial_space(name, levels, face, degen, grade_bound, key_renderer=None) 
         for n in range(N)
         for i in range(n + 1)
     }
-    return TruncSimpGrpd(name, N, levels, faces, degens, grade_bound, key_renderer=key_renderer)
+    return TruncSimpGrpd(name, N, levels, faces, degens, grade_bound)
 
 
 # ---------------------------------------------------------------------------
@@ -644,7 +638,6 @@ def truncate(X: TruncSimpGrpd, M: int) -> TruncSimpGrpd:
         {k: v for k, v in X.faces.items() if k[0] <= M},
         {k: v for k, v in X.degens.items() if k[0] < M},
         X.grade_bound,
-        key_renderer=X.key_renderer,
     )
 
 
@@ -668,8 +661,7 @@ def dec(X: TruncSimpGrpd, side: str = "bottom") -> tuple[TruncSimpGrpd, SimpMap]
     degens = {(n, i): X.degeneracy(n + 1, i + s) for n in range(M) for i in range(n + 1)}
     comps = tuple(X.face(k + 1, 0 if s else k + 1) for k in range(M + 1))
     name = f"DecBot({X.name})" if s else f"DecTop({X.name})"
-    Y = TruncSimpGrpd(name, M, levels, faces, degens, X.grade_bound,
-                      key_renderer=X.key_renderer)
+    Y = TruncSimpGrpd(name, M, levels, faces, degens, X.grade_bound)
     X.decs[side] = Y, SimpMap(f"dec-{side}[{X.name}]", Y, truncate(X, M), comps)
     return X.decs[side]
 
@@ -798,23 +790,19 @@ def product_simplicial(X: TruncSimpGrpd, Y: TruncSimpGrpd, grade_bound: int | No
             lambda xs, ys, ds: (F.arr(xs[0], ys[0], ds[0]), G.arr(xs[1], ys[1], ds[1])),
         )
 
-    renderer = None
-    if X.key_renderer is not None and Y.key_renderer is not None:
-        renderer = lambda k: f"({X.render_key(k[0])},{Y.render_key(k[1])})"
     return simplicial_space(
         f"{X.name}x{Y.name}",
         levels,
         lambda n, i: pair(X.face(n, i), Y.face(n, i)),
         lambda n, i: pair(X.degeneracy(n, i), Y.degeneracy(n, i)),
         bound,
-        key_renderer=renderer,
     )
 
 
 def terminal_space(N: int) -> TruncSimpGrpd:
     """The one-point simplicial groupoid."""
     ident = lambda n, i: (lambda x: x, lambda x, y, d: d)
-    return simplicial_space("1", [terminal_groupoid()] * (N + 1), ident, ident, 0, key_renderer=str)
+    return simplicial_space("1", [terminal_groupoid()] * (N + 1), ident, ident, 0)
 
 
 def constant_map_to_point(X: TruncSimpGrpd) -> SimpMap:
@@ -854,7 +842,6 @@ def corrupted_variant(X: TruncSimpGrpd, seed: int) -> tuple[TruncSimpGrpd, str]:
             new_faces,
             dict(X.degens),
             X.grade_bound,
-            key_renderer=X.key_renderer,
         ),
         desc,
     )

@@ -40,5 +40,4 @@ def without_class(X, n, key):
         lambda m, i: (X.face(m, i).obj, X.face(m, i).arr),
         lambda m, i: (X.degeneracy(m, i).obj, X.degeneracy(m, i).arr),
         X.grade_bound,
-        key_renderer=X.key_renderer,
     )

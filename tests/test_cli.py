@@ -62,12 +62,16 @@ def test_check_json_deterministic(capsys):
             "check_injections_all_max3_corrupt2.json",
             "check injections all --max 3 --corrupt-seed 2 --format json",
         ),
+        ("coproduct_binomial_max3.csv", "coproduct binomial --max 3 --format csv"),
+        ("coproduct_graphs_vertices2.csv", "coproduct graphs --vertices 2 --format csv"),
+        ("coproduct_vect_dim2.csv", "coproduct vect --dim 2 --format csv"),
+        ("coproduct_poset_diamond.csv", "coproduct poset:{golden}/poset_diamond.txt"),
     ],
 )
 def test_output_matches_golden(capsys, golden, argv):
     # the golden files are recorded outputs of the same commands; any change
     # to a verdict, a witness or a table entry shows up as a byte difference
-    _, out = run(capsys, *argv.split())
+    _, out = run(capsys, *argv.format(golden=GOLDEN).split())
     assert out == (GOLDEN / golden).read_text()
 
 
@@ -90,6 +94,11 @@ def test_coproduct_single_element(capsys):
 def test_coproduct_unknown_key(capsys):
     code = main(["coproduct", "forests", "--nodes", "2", "--element", "zzz"])
     assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: element 'zzz' not found; known keys: (()), (), ()(), 0\n"
+    )
 
 
 def test_coproduct_k2(capsys):
@@ -174,6 +183,34 @@ def test_negative_grade_bound_rejected(capsys, argv):
     assert main(argv.split()) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: --") and "must be >= 0" in err
+
+
+def test_corrupt_seed_applies_to_poset(tmp_path, capsys):
+    path = tmp_path / "chain2.txt"
+    path.write_text("0 < 1\n1 < 2\n")
+    code, out = run(capsys, "check", f"poset:{path}", "decomposition", "--corrupt-seed", "0")
+    assert code == 1
+    assert out.startswith("decomposition[poset-nerve~corrupt0]: FAIL")
+    assert "square does not commute" in out
+    assert main(["check", f"poset:{path}", "all", "--level", "1", "--corrupt-seed", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "no inner face" in captured.err
+
+
+@pytest.mark.parametrize("space", ["binomial", "injections", "forests", "graphs", "poset"])
+def test_q_flag_off_vect_rejected(tmp_path, capsys, space):
+    if space == "poset":
+        path = tmp_path / "chain2.txt"
+        path.write_text("0 < 1\n1 < 2\n")
+        space = f"poset:{path}"
+    assert main(["check", space, "segal", "--q", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --q applies only to vect\n"
+    # the negative-bound check comes first
+    assert main(["check", space, "segal", "--q", "3", "--grade", "-1"]) == 2
+    assert "must be >= 0" in capsys.readouterr().err
 
 
 def test_corrupt_seed_without_inner_face_rejected(capsys):

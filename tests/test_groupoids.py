@@ -61,10 +61,10 @@ def arrow_category():
         ("f", "id_a"): "f",
         ("id_b", "f"): "f",
     }
-    return FiniteGroupoid.from_arrow_table(
+    return FiniteGroupoid(
         "arrow-cat",
         ("a", "b"),
-        hom_table,
+        lambda x, y: hom_table.get((x, y), ()),
         lambda g, f: compose[(g, f)],
         lambda d: {"id_a": "id_a", "id_b": "id_b"}.get(d),
         lambda x: f"id_{x}",
