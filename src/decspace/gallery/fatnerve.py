@@ -78,7 +78,8 @@ def string_nerve(
         (xs, fs), (ys, gs) = s, t
         return ladders(
             [isos(x, y) for x, y in zip(xs, ys)],
-            lambda j, a, b: compose(b, fs[j - 1]) == compose(gs[j - 1], a),
+            lambda j, a: compose(gs[j - 1], a),
+            lambda j, b: compose(b, fs[j - 1]),
         )
 
     hom = cache(ladder_isos)

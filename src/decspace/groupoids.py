@@ -17,6 +17,7 @@ but it never materializes the full pullback groupoid.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -37,7 +38,9 @@ class FiniteGroupoid:
     Parameters
     ----------
     objects : iterable of hashable payloads
-    hom : (x, y) -> tuple of arrow data (all isomorphisms x -> y)
+    hom : (x, y) -> tuple of arrow data (all isomorphisms x -> y); arrow
+        data must be hashable, since fibres index hom-sets by transported
+        arrows and ladder searches index choices by their keys
     compose : (g, f) -> g . f on arrow data
     inverse : arrow data -> arrow data
     identity : object -> arrow data
@@ -421,29 +424,28 @@ def terminal_groupoid() -> FiniteGroupoid:
     )
 
 
-def name_functor(S: FiniteGroupoid, s) -> GroupoidFunctor:
-    """The functor 1 -> S picking out the object s."""
-    if not S.has_object(s):
-        raise ObjectNotFound(f"{s!r} is not an object of {S.name}")
-    T = terminal_groupoid()
-    return GroupoidFunctor(T, S, lambda x: s, lambda x, y, d: S.identity(s), name=f"<{s!r}>")
-
-
-def ladders(choices, commutes) -> tuple:
+def ladders(choices, before, after) -> tuple:
     """Every tuple (g_0, ..., g_k) with g_j from the sequence ``choices[j]``
-    and, for j > 0, ``commutes(j, g_{j-1}, g_j)`` true, in lexicographic
-    order of the choices: the hom-sets of strings whose morphisms are
-    commuting ladders, and of products (where everything commutes)."""
+    and, for j > 0, ``before(j, g_{j-1}) == after(j, g_j)``, in
+    lexicographic order of the choices: the hom-sets of strings whose
+    morphisms are commuting ladders, each link one square read as an
+    equation between its two sides.
+
+    Each link indexes ``choices[j]`` by ``after`` once, and each surviving
+    prefix reads its continuations with one lookup, so the search costs
+    the choices plus its output rather than prefixes times choices; it
+    stops as soon as no prefix survives.  Keys must be hashable."""
     if any(not c for c in choices):
         return ()
     out = [(g,) for g in choices[0]] if choices else [()]
     for j in range(1, len(choices)):
-        out = [p + (g,) for p in out for g in choices[j] if commutes(j, p[-1], g)]
+        if not out:
+            break
+        index: dict = {}
+        for g in choices[j]:
+            index.setdefault(after(j, g), []).append(g)
+        out = [p + (g,) for p in out for g in index.get(before(j, p[-1]), ())]
     return tuple(out)
-
-
-def _always(j, f, g):
-    return True
 
 
 def product_list(factors: list[FiniteGroupoid], grade_bound: int | None = None, name: str = "") -> FiniteGroupoid:
@@ -479,7 +481,7 @@ def product_list(factors: list[FiniteGroupoid], grade_bound: int | None = None, 
     objects = list(gen((), 0, 0))
 
     def hom(xs, ys):
-        return ladders([f.hom(x, y) for f, x, y in zip(factors, xs, ys)], _always)
+        return tuple(itertools.product(*(f.hom(x, y) for f, x, y in zip(factors, xs, ys))))
 
     def compose(g, f):
         return tuple(fac.compose(a, b) for fac, a, b in zip(factors, g, f))
@@ -511,17 +513,6 @@ def product_list(factors: list[FiniteGroupoid], grade_bound: int | None = None, 
 
 def product(G: FiniteGroupoid, H: FiniteGroupoid, grade_bound: int | None = None) -> FiniteGroupoid:
     return product_list([G, H], grade_bound=grade_bound)
-
-
-def tuple_functor(functors: list[GroupoidFunctor], source: FiniteGroupoid, target: FiniteGroupoid, name: str = "") -> GroupoidFunctor:
-    """(F_1, ..., F_k): source -> product target, componentwise."""
-    return GroupoidFunctor(
-        source,
-        target,
-        lambda x: tuple(F.obj(x) for F in functors),
-        lambda x, y, d: tuple(F.arr(x, y, d) for F in functors),
-        name=name,
-    )
 
 
 def homotopy_pullback(p: GroupoidFunctor, q: GroupoidFunctor):
@@ -773,17 +764,4 @@ def group_as_groupoid(name: str, elements, mul, inv, unit) -> FiniteGroupoid:
         mul,
         inv,
         lambda x: unit,
-    )
-
-
-def indiscrete_groupoid(name: str, objects) -> FiniteGroupoid:
-    """Every hom-set a singleton."""
-    return FiniteGroupoid(
-        name,
-        objects,
-        lambda x, y: ((x, y),),
-        lambda g, f: (f[0], g[1]),
-        lambda d: (d[1], d[0]),
-        lambda x: (x, x),
-        canon_key=lambda x: 0,
     )

@@ -416,12 +416,13 @@ def segal_power(X: TruncSimpGrpd, r: int, grade_bound: int | None = None) -> Fin
     def hom(o1, o2):
         (e1, s1), (e2, s2) = o1, o2
 
-        def commutes(i, f, g):
-            return X0.compose(s2[i - 1], d0.arr(e1[i - 1], e2[i - 1], f)) == X0.compose(
-                d1.arr(e1[i], e2[i], g), s1[i - 1]
-            )
+        def before(i, f):
+            return X0.compose(s2[i - 1], d0.arr(e1[i - 1], e2[i - 1], f))
 
-        return ladders([X1.hom(a, b) for a, b in zip(e1, e2)], commutes)
+        def after(i, g):
+            return X0.compose(d1.arr(e1[i], e2[i], g), s1[i - 1])
+
+        return ladders([X1.hom(a, b) for a, b in zip(e1, e2)], before, after)
 
     return FiniteGroupoid(
         f"SegalPower({X.name},{r})",

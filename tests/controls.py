@@ -1,4 +1,5 @@
-"""Sub-space negative controls.
+"""Sub-space negative controls, and small groupoid constructions that only
+tests use.
 
 ``without_class(X, n, key)`` deletes one iso class of n-simplices together
 with every simplex that has a member of it as an iterated face.  For a class
@@ -7,7 +8,7 @@ so every square of the result still commutes, and a checker can only reject
 it inside the fibre comparison.
 """
 
-from decspace.groupoids import FiniteGroupoid, iso_classes
+from decspace.groupoids import FiniteGroupoid, GroupoidFunctor, iso_classes, terminal_groupoid
 from decspace.simplicial import simplicial_space
 
 
@@ -40,4 +41,33 @@ def without_class(X, n, key):
         lambda m, i: (X.face(m, i).obj, X.face(m, i).arr),
         lambda m, i: (X.degeneracy(m, i).obj, X.degeneracy(m, i).arr),
         X.grade_bound,
+    )
+
+
+def name_functor(S, s):
+    """The functor 1 -> S picking out the object s."""
+    return GroupoidFunctor(terminal_groupoid(), S, lambda x: s, lambda x, y, d: S.identity(s), name=f"<{s!r}>")
+
+
+def tuple_functor(functors, source, target, name=""):
+    """(F_1, ..., F_k): source -> product target, componentwise."""
+    return GroupoidFunctor(
+        source,
+        target,
+        lambda x: tuple(F.obj(x) for F in functors),
+        lambda x, y, d: tuple(F.arr(x, y, d) for F in functors),
+        name=name,
+    )
+
+
+def indiscrete_groupoid(name, objects):
+    """Every hom-set a singleton."""
+    return FiniteGroupoid(
+        name,
+        objects,
+        lambda x, y: ((x, y),),
+        lambda g, f: (f[0], g[1]),
+        lambda d: (d[1], d[0]),
+        lambda x: (x, x),
+        canon_key=lambda x: 0,
     )

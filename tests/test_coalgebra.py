@@ -24,7 +24,7 @@ from decspace.coalgebra import (
 from decspace.errors import GradeOverflow, LevelOutOfRange, MonoidalStructureMissing, UnsupportedField
 from decspace.gallery import binomial_B, forests_H, injections_I, vect_S
 from decspace.gallery.forests import render_forest_key
-from decspace.groupoids import GroupoidFunctor, name_functor
+from decspace.groupoids import GroupoidFunctor
 from decspace.simplicial import (
     SimpMap,
     corrupted_variant,
@@ -33,6 +33,7 @@ from decspace.simplicial import (
     product_simplicial,
 )
 
+from controls import name_functor, tuple_functor
 from oracles import (
     binomial_coefficient,
     forest_cut_oracle,
@@ -304,7 +305,6 @@ def test_two_route_comultiplication(binomial3, forests3, graphs3):
         groupoid_cardinality,
         homotopy_fibre,
         product_list,
-        tuple_functor,
     )
 
     for X in (binomial3, forests3, graphs3):

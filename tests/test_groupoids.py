@@ -15,16 +15,15 @@ from decspace.groupoids import (
     homotopy_fibre,
     homotopy_pullback,
     identity_functor,
-    indiscrete_groupoid,
     is_equivalence,
     is_pullback_square,
     iso_classes,
-    name_functor,
     product,
     terminal_groupoid,
     validate_groupoid,
 )
 
+from controls import indiscrete_groupoid, name_functor
 from oracles import equivalence_oracle, fibre_by_scan
 
 

@@ -1,6 +1,7 @@
 """Property suites: exact algebraic laws checked over the gallery, plus
-hypothesis-driven simplex-category properties."""
+hypothesis-driven simplex-category and ladder-search properties."""
 
+from collections import Counter
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
@@ -8,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from decspace import delta
 from decspace.coalgebra import basis, coeff_vector, coeff_vector_via_fibre, comultiplication, counit
 from decspace.gallery import forests_H
-from decspace.groupoids import groupoid_cardinality, homotopy_fibre, iso_classes
+from decspace.groupoids import groupoid_cardinality, homotopy_fibre, iso_classes, ladders
 from decspace.simplicial import (
     check_culf,
     check_decomposition,
@@ -16,6 +17,8 @@ from decspace.simplicial import (
     corrupted_variant,
     dec,
 )
+
+from oracles import ladder_isos_reference
 
 
 @st.composite
@@ -50,6 +53,50 @@ def test_pushout_squares_commute(g, i):
         return
     sq = delta.pushout_active_inert(g, i)
     assert delta.compose(sq.right, sq.top) == delta.compose(sq.bottom, sq.left)
+
+
+@st.composite
+def ladder_problems(draw):
+    """Up to five choice sequences of small integers (repeats allowed) and
+    two random key tables, one per side of each link."""
+    k = draw(st.integers(0, 5))
+    choices = [draw(st.lists(st.integers(0, 5), max_size=5)) for _ in range(k)]
+    keys = st.lists(st.integers(0, 2), min_size=6, max_size=6)
+    before = [draw(keys) for _ in range(k)]
+    after = [draw(keys) for _ in range(k)]
+    return choices, before, after
+
+
+@given(ladder_problems())
+@settings(max_examples=300)
+def test_ladders_match_reference_and_cost_choices_plus_prefixes(problem):
+    choices, before_keys, after_keys = problem
+    calls = Counter()
+
+    def before(j, g):
+        calls["before", j] += 1
+        return before_keys[j][g]
+
+    def after(j, g):
+        calls["after", j] += 1
+        return after_keys[j][g]
+
+    def holds(j, prefix, g):
+        return j == 0 or before_keys[j][prefix[-1]] == after_keys[j][g]
+
+    assert ladders(choices, before, after) == ladder_isos_reference(choices, holds)
+    # link j is reached when every choice is non-empty and some prefix of
+    # length j survives; it indexes choices[j] once and looks up each
+    # surviving prefix once, so a prefix-times-choices filter fails here
+    expected = Counter()
+    if all(choices):
+        for j in range(1, len(choices)):
+            survivors = ladder_isos_reference(choices[:j], holds)
+            if not survivors:
+                break
+            expected["after", j] = len(choices[j])
+            expected["before", j] = len(survivors)
+    assert calls == expected
 
 
 def test_two_route_coefficient_identity(binomial3, forests3, graphs3, vect22):
