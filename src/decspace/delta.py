@@ -1,6 +1,9 @@
 """The simplex category as data: monotone maps, the active-inert factorization
 system, pushouts of active maps along inert ones, and the enumeration of the
-axiom squares used by the simplicial checkers.
+squares the simplicial checkers decide: the Segal squares, the active-inert
+pushouts and the extra degeneracy/face and degeneracy/degeneracy squares.
+Each is a ``DeltaSquare``, which checks on construction that it commutes, so
+a mis-indexed square fails here and not in a checker.
 
 Objects are the nonempty finite ordinals [n] = {0,...,n}, represented by their
 top index n.  A map [m] -> [n] is stored as its tuple of images.
@@ -231,6 +234,34 @@ def decomposition_axiom_squares(n_max: int) -> list[DeltaSquare]:
             g = coface(i, n)
             squares.append(pushout_active_inert(g, coface(0, n)))
             squares.append(pushout_active_inert(g, coface(n, n)))
+    return squares
+
+
+def extra_pullback_squares(n_max: int) -> list[DeltaSquare]:
+    """The degeneracy squares whose corners fit in levels <= n_max: for each
+    n with n+2 <= n_max, s^i against d^j (i < j) and s^{i+1} against d^j
+    (j <= i) with cone [n+1], then s^i against s^{j-1} (i < j) with cone [n].
+    They are pullbacks in every decomposition space."""
+    s, d = codegeneracy, coface
+    squares = []
+    for n in range(n_max - 1):
+        below = [(i, j) for i in range(n + 1) for j in range(i + 1, n + 2)]
+        squares += [
+            DeltaSquare(s(i, n), d(j + 1, n + 2), d(j, n + 1), s(i, n + 1),
+                        f"s_{i}/d_{j} square at level {n + 1} (i<j)")
+            for i, j in below
+        ]
+        squares += [
+            DeltaSquare(s(i, n), d(j, n + 2), d(j, n + 1), s(i + 1, n + 1),
+                        f"s_{i+1}/d_{j} square at level {n + 1} (j<=i)")
+            for i in range(n + 1)
+            for j in range(i + 1)
+        ]
+        squares += [
+            DeltaSquare(s(i, n + 1), s(j, n + 1), s(j - 1, n), s(i, n),
+                        f"s_{i}/s_{j-1} square at level {n} (i<j)")
+            for i, j in below
+        ]
     return squares
 
 

@@ -511,10 +511,6 @@ def product_list(factors: list[FiniteGroupoid], grade_bound: int | None = None, 
     )
 
 
-def product(G: FiniteGroupoid, H: FiniteGroupoid, grade_bound: int | None = None) -> FiniteGroupoid:
-    return product_list([G, H], grade_bound=grade_bound)
-
-
 def homotopy_pullback(p: GroupoidFunctor, q: GroupoidFunctor):
     """Homotopy pullback of the cospan p: X -> S <- Y :q.
 
@@ -567,8 +563,8 @@ def homotopy_fibre(p: GroupoidFunctor, s) -> FiniteGroupoid:
 
     An arrow (x1, s1) -> (x2, s2) is an arrow g: x1 -> x2 with
     s2 . p(g) = s1, i.e. p(g) = s2^{-1} . s1; the p-images of each parent
-    hom-set are indexed once per object pair, making repeated hom-set
-    queries cheap.
+    hom-set are indexed once per object pair, and each s2 is inverted once,
+    making repeated hom-set queries cheap.
     """
     X, S = p.source, p.target
     if not S.has_object(s):
@@ -582,10 +578,12 @@ def homotopy_fibre(p: GroupoidFunctor, s) -> FiniteGroupoid:
             table.setdefault(p.arr(x1, x2, g), []).append(g)
         return {k: tuple(v) for k, v in table.items()}
 
+    inverse = cache(S.inverse)
+
     def hom(o1, o2):
         x1, s1 = o1
         x2, s2 = o2
-        want = S.compose(S.inverse(s2), s1)
+        want = S.compose(inverse(s2), s1)
         return transported(x1, x2).get(want, ())
 
     return FiniteGroupoid(

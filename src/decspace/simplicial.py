@@ -132,10 +132,6 @@ class SimpMap:
         return None
 
 
-def identity_simp_map(X: TruncSimpGrpd) -> SimpMap:
-    return SimpMap("id", X, X, tuple(identity_functor(L) for L in X.levels))
-
-
 def _tabulated(source, target, omap, amap, name) -> GroupoidFunctor:
     """The functor with object rule ``omap`` evaluated at most once per
     object: the table fills on first use and keeps each image as the target's
@@ -333,7 +329,7 @@ def _instantiate(X: TruncSimpGrpd, dsq: DeltaSquare) -> GroupoidSquare:
     )
 
 
-def _square_desc(X: TruncSimpGrpd, dsq: DeltaSquare) -> str:
+def _square_desc(dsq: DeltaSquare) -> str:
     d = dsq.right.cod
     return (
         f"X{d} -> X{dsq.right.dom} over X{dsq.top.dom} "
@@ -341,13 +337,19 @@ def _square_desc(X: TruncSimpGrpd, dsq: DeltaSquare) -> str:
     )
 
 
-def _square_verdict(sq: GroupoidSquare, glue_bound: int | None = None) -> tuple[bool, str | None]:
-    """The pullback verdict of ``sq``; a square that does not commute is a
-    failure with a witness, not an exception."""
-    try:
-        return is_pullback_square(sq, glue_bound=glue_bound)
-    except NonCommutingSquare as exc:
-        return False, f"square does not commute: {exc}"
+def _record(report: CheckReport, desc: str, decide, memo: dict | None = None, key=None) -> None:
+    """Record the ``(passed, witness)`` that ``decide()`` returns under
+    ``desc``; every square verdict of the checkers goes through here.  With a
+    ``memo``, the verdict is kept under ``key`` and decided at most once.  A
+    square that does not commute is a failure with a witness, not an
+    exception."""
+    memo = {} if memo is None else memo
+    if key not in memo:
+        try:
+            memo[key] = decide()
+        except NonCommutingSquare as exc:
+            memo[key] = False, f"square does not commute: {exc}"
+    report.record(desc, *memo[key])
 
 
 def _run_squares(
@@ -357,10 +359,8 @@ def _run_squares(
     ``(square, glue bound)`` at most once per space (see ``X.verdicts``)."""
     report = CheckReport(check, X.name, X.N, X.grade_bound)
     for dsq in squares:
-        key = (dsq, glue_bound)
-        if key not in X.verdicts:
-            X.verdicts[key] = _square_verdict(_instantiate(X, dsq), glue_bound)
-        report.record(_square_desc(X, dsq), *X.verdicts[key])
+        decide = lambda: is_pullback_square(_instantiate(X, dsq), glue_bound=glue_bound)
+        _record(report, _square_desc(dsq), decide, X.verdicts, (dsq, glue_bound))
     return report
 
 
@@ -507,7 +507,7 @@ def check_decomposition_active(X: TruncSimpGrpd) -> CheckReport:
 
             return GroupoidFunctor(fib_a, fib_y, omap, amap, name="active-fibre-cmp")
 
-        report.record(desc, *fibrewise_equivalence(left, compare))
+        _record(report, desc, lambda: fibrewise_equivalence(left, compare))
     return report
 
 
@@ -526,7 +526,7 @@ def check_cartesian(F: SimpMap, maps: list[DeltaMap]) -> CheckReport:
             bottom=F.component(dm.dom),
             desc=desc,
         )
-        report.record(desc, *_square_verdict(sq))
+        _record(report, desc, lambda: is_pullback_square(sq))
     return report
 
 
@@ -621,7 +621,7 @@ def check_relatively_segal(F: SimpMap) -> CheckReport:
             bottom=segal_comparison(Y, n, WY),
             desc=desc,
         )
-        report.record(desc, *_square_verdict(sq))
+        _record(report, desc, lambda: is_pullback_square(sq))
     return report
 
 
@@ -722,48 +722,10 @@ def check_extra_pullbacks(X: TruncSimpGrpd) -> CheckReport:
     for every space passing the decomposition check."""
     report = CheckReport("extra-pullbacks", X.name, X.N, X.grade_bound)
     pre = check_decomposition(X).passed
-    if not pre:
-        report.record(
-            "precondition: decomposition check", False, "precondition unmet"
-        )
-        return report
-    report.record("precondition: decomposition check", True)
-
-    def run(desc, top, left, right, bottom):
-        sq = GroupoidSquare(top=top, left=left, right=right, bottom=bottom, desc=desc)
-        report.record(desc, *_square_verdict(sq))
-
-    for n in range(X.N - 1):
-        # s_i against d_j, first index regime i < j
-        for i in range(n + 1):
-            for j in range(i + 1, n + 2):
-                run(
-                    f"s_{i}/d_{j} square at level {n + 1} (i<j)",
-                    X.face(n + 1, j),
-                    X.degeneracy(n + 1, i),
-                    X.degeneracy(n, i),
-                    X.face(n + 2, j + 1),
-                )
-        # s_{i+1} against d_j, second regime j <= i
-        for i in range(n + 1):
-            for j in range(i + 1):
-                run(
-                    f"s_{i+1}/d_{j} square at level {n + 1} (j<=i)",
-                    X.face(n + 1, j),
-                    X.degeneracy(n + 1, i + 1),
-                    X.degeneracy(n, i),
-                    X.face(n + 2, j),
-                )
-        # s_i against s_{j-1}
-        for i in range(n + 1):
-            for j in range(i + 1, n + 2):
-                run(
-                    f"s_{i}/s_{j-1} square at level {n} (i<j)",
-                    X.degeneracy(n, j - 1),
-                    X.degeneracy(n, i),
-                    X.degeneracy(n + 1, i),
-                    X.degeneracy(n + 1, j),
-                )
+    report.record("precondition: decomposition check", pre, None if pre else "precondition unmet")
+    if pre:
+        for dsq in delta.extra_pullback_squares(X.N):
+            _record(report, dsq.desc, lambda: is_pullback_square(_instantiate(X, dsq)))
     return report
 
 

@@ -8,8 +8,15 @@ so every square of the result still commutes, and a checker can only reject
 it inside the fibre comparison.
 """
 
-from decspace.groupoids import FiniteGroupoid, GroupoidFunctor, iso_classes, terminal_groupoid
-from decspace.simplicial import simplicial_space
+from decspace.groupoids import (
+    FiniteGroupoid,
+    GroupoidFunctor,
+    identity_functor,
+    iso_classes,
+    product_list,
+    terminal_groupoid,
+)
+from decspace.simplicial import SimpMap, simplicial_space
 
 
 def without_class(X, n, key):
@@ -58,6 +65,16 @@ def tuple_functor(functors, source, target, name=""):
         lambda x, y, d: tuple(F.arr(x, y, d) for F in functors),
         name=name,
     )
+
+
+def product(G, H, grade_bound=None):
+    """G x H, the two-factor ``product_list``."""
+    return product_list([G, H], grade_bound=grade_bound)
+
+
+def identity_simp_map(X):
+    """The identity map X -> X."""
+    return SimpMap("id", X, X, tuple(identity_functor(L) for L in X.levels))
 
 
 def indiscrete_groupoid(name, objects):

@@ -29,11 +29,10 @@ from decspace.simplicial import (
     SimpMap,
     corrupted_variant,
     dec,
-    identity_simp_map,
     product_simplicial,
 )
 
-from controls import name_functor, tuple_functor
+from controls import identity_simp_map, name_functor, tuple_functor
 from oracles import (
     binomial_coefficient,
     forest_cut_oracle,

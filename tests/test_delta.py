@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from decspace.delta import (
     DeltaMap,
+    DeltaSquare,
     active_inert_factorize,
     active_map_squares,
     all_active_maps,
@@ -15,6 +16,7 @@ from decspace.delta import (
     compose,
     compose_sequence,
     decomposition_axiom_squares,
+    extra_pullback_squares,
     format_map,
     generator_decomposition,
     identity,
@@ -196,6 +198,23 @@ def test_segal_squares_counts():
     assert len(segal_axiom_squares(4)) == 3
     with pytest.raises(LevelOutOfRange):
         segal_axiom_squares(1)
+
+
+def test_extra_squares_counts_and_order():
+    # per cone level n: (n+1)(n+2)/2 squares in each of the three regimes
+    assert [len(extra_pullback_squares(m)) for m in (1, 2, 3, 4)] == [0, 3, 12, 30]
+    assert [sq.desc for sq in extra_pullback_squares(2)] == [
+        "s_0/d_1 square at level 1 (i<j)",
+        "s_1/d_0 square at level 1 (j<=i)",
+        "s_0/s_0 square at level 0 (i<j)",
+    ]
+
+
+def test_misindexed_extra_square_rejected():
+    # s^0 against d^1 at [2] needs d^2 on the far side, not d^1
+    DeltaSquare(codegeneracy(0, 1), coface(2, 3), coface(1, 2), codegeneracy(0, 2))
+    with pytest.raises(ValueError):
+        DeltaSquare(codegeneracy(0, 1), coface(1, 3), coface(1, 2), codegeneracy(0, 2))
 
 
 def test_active_map_square_data():

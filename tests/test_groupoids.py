@@ -1,10 +1,12 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from decspace.errors import NonCommutingSquare, ObjectNotFound, TargetMismatch
+from decspace.gallery import vect_S
 from decspace.groupoids import (
     FiniteGroupoid,
     GroupoidFunctor,
@@ -18,12 +20,11 @@ from decspace.groupoids import (
     is_equivalence,
     is_pullback_square,
     iso_classes,
-    product,
     terminal_groupoid,
     validate_groupoid,
 )
 
-from controls import indiscrete_groupoid, name_functor
+from controls import indiscrete_groupoid, name_functor, product
 from oracles import equivalence_oracle, fibre_by_scan
 
 
@@ -200,6 +201,31 @@ def test_fibre_of_binomial_inner_face(binomial3):
     table = iso_classes(fib)
     assert len(table) == 4
     assert all(c.aut_order == 1 for c in table)
+
+
+def test_fibre_hom_sets_invert_each_arrow_once(monkeypatch):
+    # the largest fibre of the inner face d_1: V_2 -> V_1 of vect_S(2, 2, 2)
+    # has 90 objects; its 8,100 hom-set queries need each s2 inverted once
+    d1 = vect_S(2, 2, 2).face(2, 1)
+    S = d1.target
+    s = max((c.rep for c in iso_classes(S)), key=lambda s: len(homotopy_fibre(d1, s).objects))
+    real = S.inverse
+    inverted = Counter()
+
+    def counting(a):
+        inverted[a] += 1
+        return real(a)
+
+    monkeypatch.setattr(S, "inverse", counting)
+    fib = homotopy_fibre(d1, s)
+    assert len(fib.objects) == 90
+    for (x1, s1) in fib.objects:
+        for (x2, s2) in fib.objects:
+            want = S.compose(real(s2), s1)
+            assert fib.hom((x1, s1), (x2, s2)) == tuple(
+                g for g in d1.source.hom(x1, x2) if d1.arr(x1, x2, g) == want
+            )
+    assert inverted and max(inverted.values()) == 1
 
 
 def test_is_equivalence_identity():

@@ -15,9 +15,12 @@ from decspace.gallery import (
     vect_S,
 )
 from decspace.gallery.sets import layered_rules
-from decspace.groupoids import GroupoidFunctor, functors_equal, is_equivalence
+from decspace.groupoids import GroupoidFunctor, functors_equal, is_equivalence, is_pullback_square
+from decspace.report import CheckReport
 from decspace.simplicial import (
     SimpMap,
+    _instantiate,
+    _record,
     check_cartesian,
     check_conservative,
     check_culf,
@@ -35,7 +38,6 @@ from decspace.simplicial import (
     dec,
     dec_of_map,
     evaluate,
-    identity_simp_map,
     product_simplicial,
     segal_power,
     simplicial_space,
@@ -44,7 +46,7 @@ from decspace.simplicial import (
     validate_simplicial,
 )
 
-from controls import without_class
+from controls import identity_simp_map, without_class
 from oracles import evaluate_by_composition
 
 
@@ -373,6 +375,35 @@ def test_extra_pullbacks_precondition(forests3):
     rep = check_extra_pullbacks(Xc)
     assert not rep.passed
     assert rep.squares[0].witness == "precondition unmet"
+
+
+EXTRA_FAILURES = {
+    0: ["s_2/d_1 square at level 2 (j<=i)"],
+    1: ["s_0/d_1 square at level 2 (i<j)", "s_2/d_1 square at level 2 (j<=i)"],
+    2: ["s_0/d_1 square at level 2 (i<j)", "s_2/d_1 square at level 2 (j<=i)"],
+}
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: binomial_B(3, 3), lambda: forests_H(3, 3), lambda: graphs_G(2, 3)],
+    ids=["binomial", "forests", "graphs"],
+)
+def test_extra_squares_fail_on_corrupted_spaces(make):
+    # check_extra_pullbacks stops at its precondition on these spaces, so the
+    # squares run here through the checker's own record path
+    X = make()
+    squares = delta.extra_pullback_squares(X.N)
+    for seed, expected in EXTRA_FAILURES.items():
+        Xc, _ = corrupted_variant(X, seed)
+        report = CheckReport("extra", Xc.name, Xc.N, Xc.grade_bound)
+        for dsq in squares:
+            _record(report, dsq.desc, lambda: is_pullback_square(_instantiate(Xc, dsq)))
+        failures = [r for r in report.squares if not r.passed]
+        assert [r.desc for r in failures] == expected
+        for r in failures:
+            assert r.witness.startswith(f"square does not commute: {r.desc}: ")
+    assert all(is_pullback_square(_instantiate(X, dsq))[0] for dsq in squares)
 
 
 def test_product_simplicial(binomial3):
