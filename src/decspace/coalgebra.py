@@ -257,19 +257,6 @@ def pushforward_hom(F: SimpMap, grade_bound: int) -> SparseMat:
     return mat
 
 
-def class_bijection_inverse(M: SparseMat) -> SparseMat:
-    """Inverse of a matrix whose columns are unit vectors forming a bijection
-    of keys (as produced by a levelwise equivalence)."""
-    inv = SparseMat()
-    seen = {}
-    for (r, c), v in M.entries.items():
-        if v != 1 or r in seen:
-            raise ValueError("matrix is not a class bijection")
-        seen[r] = c
-        inv.add(c, r, Fraction(1))
-    return inv
-
-
 def matrix_compose(A: SparseMat, B: SparseMat) -> SparseMat:
     """(A B)[r, c] = sum_m A[r, m] B[m, c]."""
     by_col_a: dict = {}

@@ -1,9 +1,11 @@
 """The simplex category as data: monotone maps, the active-inert factorization
-system, pushouts of active maps along inert ones, and the enumeration of the
-squares the simplicial checkers decide: the Segal squares, the active-inert
-pushouts and the extra degeneracy/face and degeneracy/degeneracy squares.
-Each is a ``DeltaSquare``, which checks on construction that it commutes, so
-a mis-indexed square fails here and not in a checker.
+system, pushouts of active maps along inert ones, the generators (cofaces and
+codegeneracies) with their simplicial relations, from which a space's
+per-generator rules are read, and the enumeration of the squares the
+simplicial checkers decide: the Segal squares, the active-inert pushouts and
+the extra degeneracy/face and degeneracy/degeneracy squares.  Each is a
+``DeltaSquare``, which checks on construction that it commutes, so a
+mis-indexed square fails here and not in a checker.
 
 Objects are the nonempty finite ordinals [n] = {0,...,n}, represented by their
 top index n.  A map [m] -> [n] is stored as its tuple of images.
@@ -195,11 +197,39 @@ def generator_decomposition(f: DeltaMap) -> list[DeltaMap]:
     return gens
 
 
-def compose_sequence(gens: list[DeltaMap], dom: int) -> DeltaMap:
-    out = identity(dom)
-    for g in gens:
-        out = compose(g, out)
-    return out
+def generators(n_max: int) -> list[DeltaMap]:
+    """The cofaces d^i: [n-1] -> [n] for 1 <= n <= n_max, then the
+    codegeneracies s^i: [n+1] -> [n] for n < n_max, each by n and then i."""
+    return [coface(i, n) for n in range(1, n_max + 1) for i in range(n + 1)] + [
+        codegeneracy(i, n) for n in range(n_max) for i in range(n + 1)
+    ]
+
+
+def decode_generator(g: DeltaMap) -> tuple[str, int, str]:
+    """``("face", i, "d_i")`` for d^i and ``("degeneracy", i, "s_i")`` for
+    s^i: the kind, index and name of X(g), which acts on level ``g.cod``."""
+    if g.cod == g.dom + 1:
+        i = next((v for v in range(g.dom + 1) if g(v) != v), g.cod)
+        if g == coface(i, g.cod):
+            return "face", i, f"d_{i}"
+    elif g.dom == g.cod + 1:
+        i = next(v for v in range(g.dom) if g(v) == g(v + 1))
+        if g == codegeneracy(i, g.cod):
+            return "degeneracy", i, f"s_{i}"
+    raise ValueError(f"{g} is not a coface or codegeneracy")
+
+
+def simplicial_relations(n_max: int) -> list[tuple[DeltaMap, DeltaMap]]:
+    """Every composable pair (a, b) of ``generators(n_max)`` whose composite
+    b . a is not its own normal form (``generator_decomposition``): the
+    simplicial identities, X(a) X(b) = X(b . a), at levels <= n_max."""
+    gens = generators(n_max)
+    return [
+        (a, b)
+        for b in gens
+        for a in gens
+        if a.cod == b.dom and generator_decomposition(compose(b, a)) != [a, b]
+    ]
 
 
 def all_maps(dom: int, cod: int):

@@ -26,7 +26,6 @@ from .groupoids import (
     functor_defect,
     functors_equal,
     homotopy_fibre,
-    identity_functor,
     is_equivalence,
     is_pullback_square,
     ladders,
@@ -114,21 +113,12 @@ class SimpMap:
 
     def naturality_defect(self) -> str | None:
         """None if strictly natural with every face and degeneracy."""
-        X, Y = self.source, self.target
-        for n in range(1, X.N + 1):
-            for i in range(n + 1):
-                lhs = compose_functors(self.components[n - 1], X.face(n, i))
-                rhs = compose_functors(Y.face(n, i), self.components[n])
-                defect = functors_equal(lhs, rhs)
-                if defect is not None:
-                    return f"naturality fails on d_{i} at level {n}: {defect}"
-        for n in range(X.N):
-            for i in range(n + 1):
-                lhs = compose_functors(self.components[n + 1], X.degeneracy(n, i))
-                rhs = compose_functors(Y.degeneracy(n, i), self.components[n])
-                defect = functors_equal(lhs, rhs)
-                if defect is not None:
-                    return f"naturality fails on s_{i} at level {n}: {defect}"
+        for g in delta.generators(self.source.N):
+            lhs = compose_functors(self.components[g.dom], evaluate(self.source, g))
+            rhs = compose_functors(evaluate(self.target, g), self.components[g.cod])
+            defect = functors_equal(lhs, rhs)
+            if defect is not None:
+                return f"naturality fails on {_generator_desc(g)}: {defect}"
         return None
 
 
@@ -173,105 +163,51 @@ def simplicial_space(name, levels, face, degen, grade_bound) -> TruncSimpGrpd:
 # validation and evaluation
 
 
+def _generator_desc(g: DeltaMap) -> str:
+    """``"face d_i at level n"`` for X(d^i), ``"degeneracy s_i at level n"``
+    for X(s^i); either acts on X_n."""
+    kind, _, name = delta.decode_generator(g)
+    return f"{kind} {name} at level {g.cod}"
+
+
 def validate_simplicial(X: TruncSimpGrpd) -> CheckReport:
     """Verify functoriality of the structure maps, all simplicial identities
     and the grade conditions strictly.
 
-    Functoriality and functor equality are checked on all objects and on a
-    generating family of arrows; once the structure maps are functors, that
-    suffices for equality.
+    Every rule is read off the simplex category: one per generator g of
+    ``delta.generators`` (X(g) is a functor, never raises grade, and keeps it
+    when g is active) and one per relation (a, b) of
+    ``delta.simplicial_relations`` (X(a) X(b) = X(b . a), the right side
+    through the normal form of b . a).  Functoriality and functor equality
+    are checked on all objects and on a generating family of arrows; once
+    the structure maps are functors, that suffices for equality.
     """
     report = CheckReport("validate_simplicial", X.name, X.N, X.grade_bound)
-
-    bad = None
-    structure_maps = [(f"face d_{i} at level {n}", F) for (n, i), F in X.faces.items()]
-    structure_maps += [(f"degeneracy s_{i} at level {n}", F) for (n, i), F in X.degens.items()]
-    for desc, F in structure_maps:
-        defect = functor_defect(F)
-        if defect is not None:
-            bad = f"{desc}: {defect}"
-            break
+    gens = delta.generators(X.N)
+    defects = ((g, functor_defect(evaluate(X, g))) for g in gens)
+    bad = next((f"{_generator_desc(g)}: {d}" for g, d in defects if d is not None), None)
     report.record("faces and degeneracies are functors", bad is None, bad)
 
-    def eq(desc, F, G):
-        defect = functors_equal(F, G)
-        report.record(desc, defect is None, defect)
+    name = lambda g: delta.decode_generator(g)[2]
+    for a, b in delta.simplicial_relations(X.N):
+        ba = delta.compose(b, a)
+        normal = " ".join(map(name, delta.generator_decomposition(ba))) or "id"
+        defect = functors_equal(compose_functors(evaluate(X, a), evaluate(X, b)), evaluate(X, ba))
+        report.record(f"{name(a)} {name(b)} = {normal} at level {b.cod}", defect is None, defect)
 
-    for n in range(2, X.N + 1):
-        for j in range(n + 1):
-            for i in range(j):
-                eq(
-                    f"d_{i} d_{j} = d_{j-1} d_{i} at level {n}",
-                    compose_functors(X.face(n - 1, i), X.face(n, j)),
-                    compose_functors(X.face(n - 1, j - 1), X.face(n, i)),
-                )
-    for n in range(X.N - 1):
-        for j in range(n + 1):
-            for i in range(j + 1):
-                eq(
-                    f"s_{i} s_{j} = s_{j+1} s_{i} at level {n}",
-                    compose_functors(X.degeneracy(n + 1, i), X.degeneracy(n, j)),
-                    compose_functors(X.degeneracy(n + 1, j + 1), X.degeneracy(n, i)),
-                )
-    for n in range(X.N):
-        for j in range(n + 1):
-            for i in range(n + 2):
-                lhs = compose_functors(X.face(n + 1, i), X.degeneracy(n, j))
-                if i == j or i == j + 1:
-                    eq(f"d_{i} s_{j} = id at level {n}", lhs, identity_functor(X.level(n)))
-                elif i < j:
-                    eq(
-                        f"d_{i} s_{j} = s_{j-1} d_{i} at level {n}",
-                        lhs,
-                        compose_functors(X.degeneracy(n - 1, j - 1), X.face(n, i)),
-                    )
-                else:
-                    eq(
-                        f"d_{i} s_{j} = s_{j} d_{i-1} at level {n}",
-                        lhs,
-                        compose_functors(X.degeneracy(n - 1, j), X.face(n, i - 1)),
-                    )
+    def grade_defect(g):
+        F, keeps = evaluate(X, g), delta.is_active(g)
+        for x in F.source.objects:
+            gx, gy = F.source.grade(x), F.target.grade(F.obj(x))
+            if gy > gx or (keeps and gy != gx):
+                return f"{_generator_desc(g)} {'raises' if gy > gx else 'changes'} grade at {x!r}"
+        return None
 
-    bad = None
-    for n in range(1, X.N + 1):
-        for i in range(n + 1):
-            F = X.face(n, i)
-            for x in F.source.objects:
-                gx, gy = F.source.grade(x), F.target.grade(F.obj(x))
-                if gy > gx:
-                    bad = f"face d_{i} at level {n} raises grade at {x!r}"
-                    break
-                if 0 < i < n and gy != gx:
-                    bad = f"inner face d_{i} at level {n} not grade-preserving at {x!r}"
-                    break
-            if bad:
-                break
-        if bad:
-            break
-    report.record("faces grade-compatible", bad is None, bad)
+    bad = next(filter(None, map(grade_defect, gens)), None)
+    report.record("faces and degeneracies grade-compatible", bad is None, bad)
 
-    bad = None
-    for n in range(X.N):
-        for i in range(n + 1):
-            F = X.degeneracy(n, i)
-            for x in F.source.objects:
-                if F.target.grade(F.obj(x)) != F.source.grade(x):
-                    bad = f"degeneracy s_{i} at level {n} changes grade at {x!r}"
-                    break
-            if bad:
-                break
-        if bad:
-            break
-    report.record("degeneracies grade-preserving", bad is None, bad)
-
-    bad = None
-    for L in X.levels:
-        for x in L.objects:
-            if L.grade(x) > X.grade_bound:
-                bad = f"object {x!r} exceeds grade bound"
-                break
-        if bad:
-            break
+    over = (x for L in X.levels for x in L.objects if L.grade(x) > X.grade_bound)
+    bad = next((f"object {x!r} exceeds grade bound" for x in over), None)
     report.record("grade bound", bad is None, bad)
     return report
 
@@ -279,22 +215,20 @@ def validate_simplicial(X: TruncSimpGrpd) -> CheckReport:
 def evaluate(X: TruncSimpGrpd, f: DeltaMap) -> GroupoidFunctor:
     """The contravariant action X(f): X_cod -> X_dom for any monotone map.
 
-    Applies the generator images in turn, in one functor; strictness makes
-    the result independent of the chosen decomposition.  Built once per
-    space and kept in ``X.evaluated``, with its preimage index.
+    A coface or codegeneracy gives the space's own face or degeneracy
+    functor.  Any other map applies its generators' functors in turn, in one
+    functor; strictness makes the result independent of the chosen
+    decomposition.  Either is kept in ``X.evaluated``, with its preimage
+    index.
     """
     if f in X.evaluated:
         return X.evaluated[f]
     if f.dom > X.N or f.cod > X.N:
         raise LevelOutOfRange(f"{f} does not fit in truncation 0..{X.N}")
     gens = []
-    for gen in reversed(delta.generator_decomposition(f)):
-        if gen.cod == gen.dom + 1:      # coface d^i at [gen.cod]
-            missing = next(v for v in range(gen.cod + 1) if v not in set(gen.images))
-            gens.append(X.face(gen.cod, missing))
-        else:                           # codegeneracy s^j onto [gen.cod]
-            rep = next(j for j in range(gen.dom) if gen(j) == gen(j + 1))
-            gens.append(X.degeneracy(gen.cod, rep))
+    for g in reversed(delta.generator_decomposition(f)):
+        kind, i, _ = delta.decode_generator(g)
+        gens.append(X.face(g.cod, i) if kind == "face" else X.degeneracy(g.cod, i))
 
     def omap(x):
         for G in gens:
@@ -306,8 +240,10 @@ def evaluate(X: TruncSimpGrpd, f: DeltaMap) -> GroupoidFunctor:
             x, y, d = G.obj(x), G.obj(y), G.arr(x, y, d)
         return d
 
-    F = X.evaluated[f] = GroupoidFunctor(X.level(f.cod), X.level(f.dom), omap, amap, name=f"X({f})")
-    return F
+    X.evaluated[f] = gens[0] if len(gens) == 1 else GroupoidFunctor(
+        X.level(f.cod), X.level(f.dom), omap, amap, name=f"X({f})"
+    )
+    return X.evaluated[f]
 
 
 # ---------------------------------------------------------------------------
@@ -547,23 +483,14 @@ def check_culf(F: SimpMap) -> CheckReport:
 
 def check_conservative(F: SimpMap) -> CheckReport:
     """Cartesian on all degeneracy maps within truncation."""
-    maps = [
-        delta.codegeneracy(i, n)
-        for n in range(F.source.N)
-        for i in range(n + 1)
-    ]
-    report = check_cartesian(F, maps)
+    report = check_cartesian(F, [g for g in delta.generators(F.source.N) if g.dom > g.cod])
     report.check = f"conservative[{F.name}]"
     return report
 
 
 def check_ulf(F: SimpMap) -> CheckReport:
     """Cartesian on all active (inner) face maps within truncation."""
-    maps = [
-        delta.coface(i, n)
-        for n in range(2, F.source.N + 1)
-        for i in range(1, n)
-    ]
+    maps = [g for g in delta.generators(F.source.N) if g.dom < g.cod and delta.is_active(g)]
     report = check_cartesian(F, maps)
     report.check = f"ulf[{F.name}]"
     return report

@@ -1,13 +1,19 @@
-"""Sub-space negative controls, and small groupoid constructions that only
-tests use.
+"""Sub-space and re-graded negative controls, and small groupoid
+constructions that only tests use.
 
 ``without_class(X, n, key)`` deletes one iso class of n-simplices together
 with every simplex that has a member of it as an iterated face.  For a class
 of non-degenerate simplices the rest is closed under faces and degeneracies,
 so every square of the result still commutes, and a checker can only reject
 it inside the fibre comparison.
+
+``regraded(X, grade)`` keeps every object, arrow and structure rule of X and
+changes only the grading, so a validator can only reject it on a grade rule.
 """
 
+from fractions import Fraction
+
+from decspace.coalgebra import SparseMat
 from decspace.groupoids import (
     FiniteGroupoid,
     GroupoidFunctor,
@@ -42,12 +48,38 @@ def without_class(X, n, key):
             canon_key=L.canon_key,
             bucket_key=L.bucket_key,
         )
+    return _with_levels(X, f"{X.name}-{key}@{n}", levels, X.grade_bound)
+
+
+def regraded(X, grade, grade_bound=None):
+    """X with the grade of an object x of X_n set to ``grade(n, x, old)``,
+    where ``old`` is its grade in X; the grade bound is X's unless given."""
+    levels = [
+        FiniteGroupoid(
+            L.name,
+            L.objects,
+            L.hom,
+            L.compose,
+            L.inverse,
+            L.identity,
+            grade=lambda x, n=n, L=L: grade(n, x, L.grade(x)),
+            canon_key=L.canon_key,
+            bucket_key=L.bucket_key,
+        )
+        for n, L in enumerate(X.levels)
+    ]
+    bound = X.grade_bound if grade_bound is None else grade_bound
+    return _with_levels(X, f"{X.name}-regraded", levels, bound)
+
+
+def _with_levels(X, name, levels, grade_bound):
+    """The space on ``levels`` whose faces and degeneracies keep X's rules."""
     return simplicial_space(
-        f"{X.name}-{key}@{n}",
+        name,
         levels,
         lambda m, i: (X.face(m, i).obj, X.face(m, i).arr),
         lambda m, i: (X.degeneracy(m, i).obj, X.degeneracy(m, i).arr),
-        X.grade_bound,
+        grade_bound,
     )
 
 
@@ -88,3 +120,16 @@ def indiscrete_groupoid(name, objects):
         lambda x: (x, x),
         canon_key=lambda x: 0,
     )
+
+
+def class_bijection_inverse(M):
+    """Inverse of a matrix whose columns are unit vectors forming a bijection
+    of keys (as produced by a levelwise equivalence)."""
+    inv = SparseMat()
+    seen = {}
+    for (r, c), v in M.entries.items():
+        if v != 1 or r in seen:
+            raise ValueError("matrix is not a class bijection")
+        seen[r] = c
+        inv.add(c, r, Fraction(1))
+    return inv

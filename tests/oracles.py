@@ -1,5 +1,6 @@
 """Independent brute-force oracles for the coalgebra tables and for
-equivalence testing, and a reference route for ``evaluate``.
+equivalence testing, and reference routes for ``evaluate`` and for
+composing a generator decomposition.
 
 Each table and equivalence oracle enumerates the combinatorics directly on
 one concrete representative (cuts of a forest, ordered vertex bipartitions
@@ -130,6 +131,15 @@ def fibre_by_scan(F, s):
     from a scan of every source object and its target hom-set to s, in
     source object order."""
     return tuple((x, sigma) for x in F.source.objects for sigma in F.target.hom(F.obj(x), s))
+
+
+def compose_sequence(gens, dom):
+    """The composite ``last . ... . first`` of a list of simplex maps applied
+    left to right, starting from the identity of [dom]."""
+    out = delta.identity(dom)
+    for g in gens:
+        out = delta.compose(g, out)
+    return out
 
 
 def evaluate_by_composition(X, f):

@@ -12,7 +12,6 @@ import pytest
 from decspace.coalgebra import (
     check_bialgebra,
     check_coassociativity,
-    class_bijection_inverse,
     comultiplication,
     hall_number,
     homomorphism_check,
@@ -53,6 +52,7 @@ from decspace.simplicial import (
     dec,
 )
 
+from controls import class_bijection_inverse
 from oracles import binomial_coefficient, forest_cut_oracle, graph_bipartition_oracle
 
 TIMINGS = {}

@@ -17,22 +17,23 @@ from decspace.coalgebra import (
     hall_number,
     homomorphism_check,
     matrix_compose,
-    class_bijection_inverse,
     multiplication,
     pushforward_hom,
 )
 from decspace.errors import GradeOverflow, LevelOutOfRange, MonoidalStructureMissing, UnsupportedField
-from decspace.gallery import binomial_B, forests_H, injections_I, vect_S
+from decspace.gallery import binomial_B, forests_H, graphs_G, injections_I, mono_projection, oi_to_i, vect_S
 from decspace.gallery.forests import render_forest_key
 from decspace.groupoids import GroupoidFunctor
 from decspace.simplicial import (
     SimpMap,
+    check_culf,
+    constant_map_to_point,
     corrupted_variant,
     dec,
     product_simplicial,
 )
 
-from controls import identity_simp_map, name_functor, tuple_functor
+from controls import class_bijection_inverse, identity_simp_map, name_functor, tuple_functor
 from oracles import (
     binomial_coefficient,
     forest_cut_oracle,
@@ -219,17 +220,47 @@ def test_reduction_homomorphism():
     assert rep.passed
 
 
-def test_non_culf_projection_breaks_homomorphism():
+def _first_projection():
+    """pr1: H x H -> H on forests_H(2, 2), which is not CULF."""
     H = forests_H(2, 2)
     P = product_simplicial(H, H, grade_bound=2)
     comps = tuple(
         GroupoidFunctor(P.level(n), H.level(n), lambda o: o[0], lambda x, y, d: d[0])
         for n in range(3)
     )
-    F = SimpMap("pr1", P, H, comps)
+    return SimpMap("pr1", P, H, comps)
+
+
+def test_non_culf_projection_breaks_homomorphism():
+    F = _first_projection()
     M = pushforward_hom(F, 2)
-    rep = homomorphism_check(M, P, H, 2)
+    rep = homomorphism_check(M, F.source, F.target, 2)
     assert not rep.passed
+
+
+def _homomorphism_at(F, b):
+    return homomorphism_check(pushforward_hom(F, b), F.source, F.target, b)
+
+
+def test_culf_maps_are_coalgebra_homomorphisms():
+    # a CULF map pushes forward to a coalgebra homomorphism: every CULF pass
+    # below must come with both identities (comultiplication and counit)
+    spaces = (binomial_B(3, 3), forests_H(3, 3), graphs_G(2, 3))
+    culf = [F for X in spaces for F in (X.monoidal, dec(X, "bottom")[1], dec(X, "top")[1])]
+    culf += [oi_to_i(3, 3), injections_I(3, 3)[1], mono_projection(2, 2, 2)]
+    for F in culf:
+        assert check_culf(F).passed, F.name
+        rep = _homomorphism_at(F, F.source.grade_bound)
+        assert [r.passed for r in rep.squares] == [True, True], F.name
+    # the point's grade bound is 0, so the constant maps are compared at
+    # b = 0, where they keep both identities without being CULF
+    for X in spaces:
+        F = constant_map_to_point(X)
+        assert not check_culf(F).passed
+        assert _homomorphism_at(F, 0).passed
+    F = _first_projection()
+    assert not check_culf(F).passed
+    assert [r.passed for r in _homomorphism_at(F, 2).squares] == [False, False]
 
 
 def test_multiplication_tables(binomial3, forests3):

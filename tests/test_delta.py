@@ -1,4 +1,5 @@
 from itertools import product as iproduct
+from math import comb
 
 import pytest
 from hypothesis import given, strategies as st
@@ -14,17 +15,21 @@ from decspace.delta import (
     codegeneracy,
     coface,
     compose,
-    compose_sequence,
+    decode_generator,
     decomposition_axiom_squares,
     extra_pullback_squares,
     format_map,
     generator_decomposition,
+    generators,
     identity,
     parse_map,
     pushout_active_inert,
     segal_axiom_squares,
+    simplicial_relations,
 )
 from decspace.errors import LevelOutOfRange, NotActive, NotComposable, NotInert
+
+from oracles import compose_sequence
 
 
 def monotone_maps(max_n=5):
@@ -182,6 +187,55 @@ def test_classify_composites(f, g):
         assert classify(gf) in ("active", "both")
     if classify(f) in ("inert", "both") and classify(g) in ("inert", "both"):
         assert classify(gf) in ("inert", "both")
+
+
+def test_generators_in_order_and_decoded():
+    assert generators(2) == [
+        coface(0, 1), coface(1, 1), coface(0, 2), coface(1, 2), coface(2, 2),
+        codegeneracy(0, 0), codegeneracy(0, 1), codegeneracy(1, 1),
+    ]
+    assert decode_generator(coface(2, 3)) == ("face", 2, "d_2")
+    assert decode_generator(codegeneracy(1, 2)) == ("degeneracy", 1, "s_1")
+    for f in (identity(1), DeltaMap(1, 3, (0, 2)), DeltaMap(2, 1, (0, 0, 0))):
+        with pytest.raises(ValueError):
+            decode_generator(f)
+
+
+def _kinds(a, b):
+    return tuple("d" if g.cod > g.dom else "s" for g in (a, b))
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4, 5])
+def test_simplicial_relation_counts(N):
+    relations = simplicial_relations(N)
+    kinds = [_kinds(a, b) for a, b in relations]
+    face_face = sum(comb(n + 1, 2) for n in range(2, N + 1))
+    degen_degen = sum(comb(n + 2, 2) for n in range(N - 1))
+    mixed = sum((n + 1) * (n + 2) for n in range(N))
+    assert kinds.count(("d", "d")) == face_face
+    assert kinds.count(("s", "s")) == degen_degen
+    assert kinds.count(("d", "s")) == mixed
+    assert len(relations) == face_face + degen_degen + mixed
+    assert len(simplicial_relations(3)) == 33
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4])
+def test_simplicial_relations_are_the_non_normal_pairs(N):
+    # brute force: group every composable pair of generators by its composite;
+    # each pair is a relation, listed once, except the normal-form pair of a
+    # composite that is not an identity
+    relations = simplicial_relations(N)
+    assert len(set(relations)) == len(relations)
+    by_composite = {}
+    for a, b in iproduct(generators(N), repeat=2):
+        if a.cod == b.dom:
+            by_composite.setdefault(compose(b, a), []).append((a, b))
+    for f, pairs in by_composite.items():
+        normal = generator_decomposition(f)
+        assert compose_sequence(normal, f.dom) == f
+        kept = [p for p in pairs if p not in relations]
+        assert kept == ([] if f.is_identity() else [tuple(normal)])
+    assert len(relations) == sum(len(pairs) - (not f.is_identity()) for f, pairs in by_composite.items())
 
 
 def test_decomposition_squares_counts():

@@ -46,7 +46,7 @@ from decspace.simplicial import (
     validate_simplicial,
 )
 
-from controls import identity_simp_map, without_class
+from controls import identity_simp_map, regraded, without_class
 from oracles import evaluate_by_composition
 
 
@@ -71,6 +71,69 @@ def test_validate_rejects_arrow_outside_hom_set():
     assert failure.desc == "faces and degeneracies are functors"
     assert failure.witness.startswith("face d_0 at level 1: ")
     assert "not in the target hom-set" in failure.witness
+
+
+# Negative controls for each rule of validate_simplicial and for naturality.
+# Each asserts on the generator, the level and the object that the failing
+# witness names, not on the wording of the record.
+
+
+def _names(text, generator, level, obj):
+    return f"{generator} at level {level}" in text and text.endswith(repr(obj))
+
+
+def test_validate_rejects_face_raising_grade(binomial3):
+    # X_0's object graded 1: both faces X_1 -> X_0 raise grade at (0, ())
+    Y = regraded(binomial3, lambda n, x, old: 1 if n == 0 else old)
+    failure = validate_simplicial(Y).first_failure()
+    assert _names(failure.witness, "d_0", 1, (0, ()))
+
+
+def test_validate_rejects_inner_face_changing_grade(binomial3):
+    x = (1, (2,))
+    assert binomial3.face(2, 1).obj(x) == (1, (1,))
+    Y = regraded(binomial3, lambda n, y, old: 2 if (n, y) == (2, x) else old)
+    failure = validate_simplicial(Y).first_failure()
+    assert _names(failure.witness, "d_1", 2, x)
+
+
+def test_validate_rejects_degeneracy_changing_grade(binomial3):
+    # every level above 0 graded one higher: faces never raise grade and
+    # inner faces keep it, but s_0: X_0 -> X_1 changes it
+    Y = regraded(binomial3, lambda n, x, old: old + (n > 0), grade_bound=binomial3.grade_bound + 1)
+    failures = [r for r in validate_simplicial(Y).squares if not r.passed]
+    assert len(failures) == 1
+    assert _names(failures[0].witness, "s_0", 0, (0, ()))
+
+
+def test_validate_rejects_object_over_the_bound(binomial3):
+    failure = validate_simplicial(replace(binomial3, grade_bound=2)).first_failure()
+    assert failure.desc == "grade bound"
+    assert repr((3, (1, 1, 1))) in failure.witness
+
+
+def test_validate_rejects_swapped_degeneracies(binomial3):
+    S = binomial3.degens
+    Y = replace(binomial3, degens={**S, (1, 0): S[(1, 1)], (1, 1): S[(1, 0)]})
+    failures = [r for r in validate_simplicial(Y).squares if not r.passed]
+    assert failures
+    # only identities through a degeneracy fail, and the first one names
+    # s_0 at level 1 and an object of X_1 that s_0 and s_1 send apart
+    assert all("s_" in r.desc and "=" in r.desc for r in failures)
+    first = failures[0]
+    assert "s_0" in first.desc and first.desc.endswith("at level 1")
+    x = (1, (1,))
+    assert S[(1, 0)].obj(x) != S[(1, 1)].obj(x)
+    assert first.witness.endswith(repr(x))
+
+
+def test_naturality_fails_on_exactly_one_degeneracy(binomial3):
+    S = binomial3.degens
+    target = replace(binomial3, degens={**S, (1, 0): S[(1, 1)]})
+    identity = identity_simp_map(binomial3).components
+    assert SimpMap("id", binomial3, binomial3, identity).naturality_defect() is None
+    defect = SimpMap("id", binomial3, target, identity).naturality_defect()
+    assert _names(defect, "s_0", 1, (1, (1,)))
 
 
 @pytest.mark.parametrize("r", [2, 3])
@@ -136,6 +199,18 @@ def test_evaluate_matches_composition_of_generators(build):
         for b in range(X.N + 1):
             for f in delta.all_maps(a, b):
                 assert functors_equal(evaluate(X, f), evaluate_by_composition(X, f)) is None, f
+
+
+@pytest.mark.parametrize(
+    "build", [lambda: binomial_B(3, 3), lambda: vect_S(2, 2, 2)], ids=["binomial_B(3,3)", "vect_S(2,2,2)"]
+)
+def test_evaluate_returns_the_structure_functor_of_a_generator(build):
+    X = build()
+    for (n, i), F in X.faces.items():
+        assert evaluate(X, delta.coface(i, n)) is F, (n, i)
+    for (n, i), F in X.degens.items():
+        assert evaluate(X, delta.codegeneracy(i, n)) is F, (n, i)
+    assert len(X.evaluated) == len(delta.generators(X.N))
 
 
 def _counting_binomial():
@@ -511,14 +586,16 @@ def test_second_active_check_builds_no_preimage_index(monkeypatch):
         before = F._preimages
         found = real(F, s)
         if F._preimages is not before:
-            built.append(F.name)
+            built.append(F)
         return found
 
     monkeypatch.setattr(GroupoidFunctor, "preimages", counting)
     X = binomial_B(3, 3)
     first = check_decomposition_active(X)
     assert built
-    assert len(built) == len(set(built))  # one index per X(f)
+    # one index per functor; generators share names across levels, so
+    # functors are told apart by identity
+    assert len(built) == len({id(F) for F in built})
     built.clear()
     assert check_decomposition_active(X) == first
     assert not built
